@@ -40,7 +40,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro"
 	"repro/internal/power"
 	"repro/internal/vcd"
 )
@@ -120,7 +119,9 @@ type SubmitBody struct {
 	// Activity optionally annotates the job with switching activity.
 	Activity *Activity `json:"activity,omitempty"`
 
-	// Measure selects the measurement backend ("" = server default).
+	// Measure names a measurement backend: "", "packed", "fast" or
+	// "dense". It is validated for compatibility but keys nothing — every
+	// job runs the one packed kernel and reports "packed".
 	Measure string `json:"measure,omitempty"`
 	// TimeoutMS is the per-job deadline in milliseconds (0 = server
 	// default; clamped to the server maximum).
@@ -151,16 +152,14 @@ func unprocessable(code, format string, args ...any) *Error {
 		Message: fmt.Sprintf(format, args...)}
 }
 
-// validMeasure reports whether m names a known measurement backend ("" is
-// the server default and always valid).
+// validMeasure reports whether m is one of the measurement backend names
+// the v1 contract accepts ("" always is). The server runs one kernel, so
+// the name keys nothing and every job reports "packed"; it is still
+// validated so the error bytes of older clients never change.
 func validMeasure(m string) bool {
-	if m == "" {
+	switch m {
+	case "", "packed", "fast", "dense":
 		return true
-	}
-	for _, b := range scanpower.MeasureBackends() {
-		if scanpower.MeasureBackend(m) == b {
-			return true
-		}
 	}
 	return false
 }

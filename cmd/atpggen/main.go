@@ -33,7 +33,6 @@ func main() {
 	fillChains := flag.Int("fill-chains", 1, "scan-chain count adjacent fill follows (round-robin partition, matching the measurement chains)")
 	nDetect := flag.Int("ndetect", 1, "require each fault be detected by at least N patterns")
 	atpgWorkers := cliflags.ATPGWorkers(flag.CommandLine)
-	lanes := cliflags.Lanes(flag.CommandLine)
 	flag.Parse()
 
 	var (
@@ -60,10 +59,6 @@ func main() {
 	opts.NDetect = *nDetect
 	opts.FillChains = *fillChains
 	if opts.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
-		fmt.Fprintln(os.Stderr, "atpggen:", err)
-		os.Exit(2)
-	}
-	if opts.Lanes, err = cliflags.ValidateLanes(*lanes); err != nil {
 		fmt.Fprintln(os.Stderr, "atpggen:", err)
 		os.Exit(2)
 	}

@@ -21,7 +21,7 @@
 //
 //	loadgen -servers http://127.0.0.1:8344[,http://127.0.0.1:8345,...]
 //	        [-duration 30s] [-concurrency 8] [-hot 0.4] [-cancel 0.05]
-//	        [-cold-copies 4] [-measure packed] [-timeout 1m]
+//	        [-cold-copies 4] [-timeout 1m]
 //	        [-label run] [-out run.json]
 package main
 
@@ -161,7 +161,6 @@ func main() {
 	cancelFrac := fs.Float64("cancel", 0.05, "fraction of submits canceled right after admission")
 	coldCopies := fs.Int("cold-copies", 4, "s27 instances per cold circuit (scales per-job Engine work)")
 	hotSet := fs.Int("hot-set", 4, "distinct circuits in the hot set")
-	measure := cliflags.Measure(fs)
 	timeout := cliflags.Timeout(fs, "timeout", time.Minute, "per-job deadline sent with each submit")
 	label := fs.String("label", "", "label recorded in the output document")
 	out := fs.String("out", "", "write the JSON document to this file (default stdout)")
@@ -169,20 +168,17 @@ func main() {
 	flag.Parse()
 
 	if err := run(*servers, *duration, *concurrency, *hot, *cancelFrac,
-		*coldCopies, *hotSet, *measure, *timeout, *label, *out, *seed); err != nil {
+		*coldCopies, *hotSet, *timeout, *label, *out, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
 func run(servers string, duration time.Duration, concurrency int, hot, cancelFrac float64,
-	coldCopies, hotSet int, measure string, timeout time.Duration, label, out string, seed int64) error {
+	coldCopies, hotSet int, timeout time.Duration, label, out string, seed int64) error {
 
 	if servers == "" {
 		return errors.New("-servers is required")
-	}
-	if _, err := cliflags.ValidateMeasure(measure); err != nil {
-		return err
 	}
 	var endpoints []string
 	for _, s := range strings.Split(servers, ",") {
@@ -219,7 +215,6 @@ func run(servers string, duration time.Duration, concurrency int, hot, cancelFra
 			for time.Now().Before(deadline) {
 				req := client.SubmitRequest{
 					Source:  &api.Source{Bench: cold},
-					Measure: measure,
 					Timeout: timeout,
 					Wait:    true,
 				}

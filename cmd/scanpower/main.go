@@ -73,9 +73,6 @@ func main() {
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write the run manifest JSON to this file")
-	measure := cliflags.Measure(fs)
-	mcBackend := cliflags.MC(fs)
-	lanes := cliflags.Lanes(fs)
 	atpgWorkers := cliflags.ATPGWorkers(fs)
 	server := fs.String("server", "", "submit to these scanpowerd base URLs (comma-separated) instead of computing in-process")
 	flag.Parse()
@@ -98,7 +95,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "scanpower: -extensions, -vcd and -patterns run in-process only, not with -server")
 			os.Exit(2)
 		}
-		if err := runRemote(ctx, *server, *circuit, *benchFile, *verilogFile, *measure, act, *timeout); err != nil {
+		if err := runRemote(ctx, *server, *circuit, *benchFile, *verilogFile, act, *timeout); err != nil {
 			fmt.Fprintln(os.Stderr, "scanpower:", err)
 			os.Exit(1)
 		}
@@ -159,11 +156,7 @@ func main() {
 		}
 	}()
 
-	cfg, err := cliflags.BackendConfig(*measure, *mcBackend, *lanes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scanpower:", err)
-		os.Exit(2)
-	}
+	cfg := scanpower.DefaultConfig()
 	if cfg.ATPG.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "scanpower:", err)
 		os.Exit(2)
@@ -176,10 +169,6 @@ func main() {
 		}
 		cfg.Activity = prof
 	}
-	// The direct core.BuildContext call below bypasses Compare's MC
-	// propagation, so mirror the choice into the per-structure options.
-	cfg.Proposed.MC = core.MCBackend(cfg.MC)
-	cfg.InputControl.MC = core.MCBackend(cfg.MC)
 	eng := scanpower.NewEngine(cfg)
 	eng.Hooks = rec.Hooks()
 	st := c.ComputeStats()
@@ -338,10 +327,7 @@ func printComparison(cmp *scanpower.Comparison) {
 // runRemote submits the experiment to a scanpowerd cluster through the
 // typed client — as a source-union body, with the activity block when one
 // was given — and prints the returned comparison.
-func runRemote(ctx context.Context, servers, circuit, benchFile, verilogFile, measure string, act *api.Activity, timeout time.Duration) error {
-	if _, err := cliflags.ValidateMeasure(measure); err != nil {
-		return err
-	}
+func runRemote(ctx context.Context, servers, circuit, benchFile, verilogFile string, act *api.Activity, timeout time.Duration) error {
 	var endpoints []string
 	for _, s := range strings.Split(servers, ",") {
 		if s = cliflags.NormalizeEndpoint(s); s != "" {
@@ -353,7 +339,7 @@ func runRemote(ctx context.Context, servers, circuit, benchFile, verilogFile, me
 		return err
 	}
 
-	req := client.SubmitRequest{Measure: measure, Timeout: timeout, Wait: true, Activity: act}
+	req := client.SubmitRequest{Timeout: timeout, Wait: true, Activity: act}
 	switch {
 	case moreThanOne(circuit != "", benchFile != "", verilogFile != ""):
 		return fmt.Errorf("need exactly one of -circuit, -bench or -verilog")
@@ -441,11 +427,11 @@ func replayPatterns(c *netlist.Circuit, sol *core.Solution, cfg scanpower.Config
 	if err != nil {
 		return err
 	}
-	trad, err := power.MeasureScan(scan.New(c), pats, scan.Traditional(c), cfg.Leak, cfg.Cap)
+	trad, err := power.MeasureScanPacked(scan.New(c), pats, scan.Traditional(c), cfg.Leak, cfg.Cap)
 	if err != nil {
 		return err
 	}
-	prop, err := power.MeasureScan(scan.New(sol.Circuit), pats, sol.Cfg, cfg.Leak, cfg.Cap)
+	prop, err := power.MeasureScanPacked(scan.New(sol.Circuit), pats, sol.Cfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		return err
 	}

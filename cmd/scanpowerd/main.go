@@ -1,8 +1,8 @@
 // Command scanpowerd serves the scan-power experiments as a long-running
 // HTTP/JSON job service. Clients submit Table I experiments — a built-in
 // ISCAS89 circuit name, inline .bench source or inline structural Verilog,
-// with optional measurement backend, deadline overrides and a
-// switching-activity annotation — and poll for scanpower/comparison/v1
+// with optional deadline overrides and a switching-activity annotation —
+// and poll for scanpower/comparison/v1
 // results; every job runs on one shared Engine, so repeated circuits hit
 // the memoized ATPG cache.
 //
@@ -13,8 +13,10 @@
 //	                             {"source":{"verilog":"...","name":"..."}},
 //	                             optionally {"activity":{"inputs":{...},
 //	                             "default_input":0.2}} or {"activity":
-//	                             {"vcd":"..."}}, plus "measure",
-//	                             "timeout_ms", "wait". The legacy flat
+//	                             {"vcd":"..."}}, plus "timeout_ms",
+//	                             "wait" and "measure" (validated, keys
+//	                             nothing: every job reports "packed").
+//	                             The legacy flat
 //	                             {"circuit":...}/{"bench":...} body is
 //	                             still accepted byte-compatibly.
 //	GET    /v1/jobs/{id}         job status
@@ -32,8 +34,8 @@
 // are never truncated.
 //
 // -store-dir enables the persistent result store: completed results are
-// written to disk keyed by circuit fingerprint, measurement backend and
-// activity-profile hash, and a restarted daemon serves previously
+// written to disk keyed by circuit fingerprint and activity-profile hash,
+// and a restarted daemon serves previously
 // computed jobs from disk — bit-identical bytes, no recompute.
 //
 // -peers (with -self) enables cluster mode: submits are sharded by
@@ -44,7 +46,7 @@
 // Usage:
 //
 //	scanpowerd [-listen 127.0.0.1:8344] [-workers N] [-queue N]
-//	           [-job-timeout 0] [-max-job-timeout 10m] [-measure packed]
+//	           [-job-timeout 0] [-max-job-timeout 10m] [-atpg-workers 1]
 //	           [-store-dir DIR] [-store-max-bytes N]
 //	           [-self URL] [-peers URL,URL]
 //	           [-trace trace.jsonl] [-manifest run.json] [-drain-timeout 30s]
@@ -77,8 +79,6 @@ func main() {
 	queue := fs.Int("queue", 16, "jobs allowed to wait beyond the running ones")
 	jobTimeout := cliflags.Timeout(fs, "job-timeout", 0, "default per-job deadline for requests without timeout_ms (0 = none)")
 	maxJobTimeout := cliflags.Timeout(fs, "max-job-timeout", 10*time.Minute, "cap on client-requested deadlines (0 = no cap)")
-	measure := cliflags.Measure(fs)
-	lanes := cliflags.Lanes(fs)
 	atpgWorkers := cliflags.ATPGWorkers(fs)
 	self := fs.String("self", "", "this node's externally reachable base URL (e.g. http://10.0.0.1:8344); required with -peers")
 	node := fs.String("node", "", "this node's display name on trace spans and log lines (default -self, then \"local\")")
@@ -89,8 +89,8 @@ func main() {
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
 
-	if err := run(*listen, *workers, *queue, *atpgWorkers, *lanes, *jobTimeout, *maxJobTimeout,
-		*measure, *self, *node, cluster, *tracePath, *manifestPath, *drainTimeout,
+	if err := run(*listen, *workers, *queue, *atpgWorkers, *jobTimeout, *maxJobTimeout,
+		*self, *node, cluster, *tracePath, *manifestPath, *drainTimeout,
 		*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "scanpowerd:", err)
 		os.Exit(1)
@@ -108,23 +108,15 @@ func newLogger(level string) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
 }
 
-func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJobTimeout time.Duration,
-	measure, self, node string, cluster *cliflags.Cluster, tracePath, manifestPath string,
+func run(listen string, workers, queue, atpgWorkers int, jobTimeout, maxJobTimeout time.Duration,
+	self, node string, cluster *cliflags.Cluster, tracePath, manifestPath string,
 	drainTimeout time.Duration, logLevel string) error {
 
 	logger, err := newLogger(logLevel)
 	if err != nil {
 		return err
 	}
-	backend, err := cliflags.ValidateMeasure(measure)
-	if err != nil {
-		return err
-	}
 	atpgWorkers, err = cliflags.ValidateATPGWorkers(atpgWorkers)
-	if err != nil {
-		return err
-	}
-	lanes, err = cliflags.ValidateLanes(lanes)
 	if err != nil {
 		return err
 	}
@@ -158,8 +150,6 @@ func run(listen string, workers, queue, atpgWorkers, lanes int, jobTimeout, maxJ
 	}
 
 	cfg := scanpower.DefaultConfig()
-	cfg.Measure = backend
-	cfg.Lanes = lanes
 	cfg.ATPG.Workers = atpgWorkers
 	svc := service.New(service.Options{
 		Cfg:            cfg,

@@ -47,9 +47,6 @@ func main() {
 	listen := fs.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	tracePath := fs.String("trace", "", "write the span trace as JSON Lines to this file")
 	manifestPath := fs.String("manifest", "", "write the run manifest JSON to this file")
-	measure := cliflags.Measure(fs)
-	mcBackend := cliflags.MC(fs)
-	lanes := cliflags.Lanes(fs)
 	atpgWorkers := cliflags.ATPGWorkers(fs)
 	flag.Parse()
 
@@ -90,11 +87,8 @@ func main() {
 	}
 	rec := scanpower.NewRecorder(reg, tw)
 
-	cfg, err := cliflags.BackendConfig(*measure, *mcBackend, *lanes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tableone:", err)
-		os.Exit(2)
-	}
+	cfg := scanpower.DefaultConfig()
+	var err error
 	if cfg.ATPG.Workers, err = cliflags.ValidateATPGWorkers(*atpgWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "tableone:", err)
 		os.Exit(2)

@@ -102,13 +102,12 @@ type Hooks struct {
 	OnPattern func(circuit, stage string, index int)
 	// OnMeasureBatch fires after the packed measurement kernel evaluates
 	// one batch of bit-parallel lanes, with the number of scan cycles the
-	// batch carried and its wall time. Serial backends never fire it.
+	// batch carried and its wall time.
 	OnMeasureBatch func(circuit, stage string, lanes int, elapsed time.Duration)
 	// OnMCBatch fires after a packed Monte-Carlo kernel inside a structure
-	// build evaluates one 64-lane batch: kind is "obs" (observability
+	// build evaluates one 256-lane batch: kind is "obs" (observability
 	// vectors) or "fill" (fill trials), lanes the vectors/trials carried,
-	// elapsed the batch's evaluation wall time. The scalar MC backend
-	// never fires it.
+	// elapsed the batch's evaluation wall time.
 	OnMCBatch func(circuit, stage, kind string, lanes int, elapsed time.Duration)
 	// OnFaultSimBatch fires after each packed fault-dropping pass of the
 	// ATPG stage: kind is "drop" (deterministic-phase buffer flush) or
@@ -391,10 +390,9 @@ func directPatterns(cfg Config, hooks Hooks) patternSource {
 
 // patternKey identifies one memoized ATPG run: the frozen circuit's
 // structural fingerprint plus the exact generation options (which the
-// large-circuit scaling may vary per circuit). Options.Workers and
-// Options.Lanes are normalized out of the key — they change wall time
-// only, never a result bit, so runs that differ only in worker count or
-// packed batch width share one entry.
+// large-circuit scaling may vary per circuit). Options.Workers is
+// normalized out of the key — it changes wall time only, never a result
+// bit, so runs that differ only in worker count share one entry.
 type patternKey struct {
 	fp   uint64
 	opts atpg.Options
@@ -402,7 +400,6 @@ type patternKey struct {
 
 func newPatternKey(fp uint64, opts atpg.Options) patternKey {
 	opts.Workers = 0
-	opts.Lanes = 0
 	return patternKey{fp: fp, opts: opts}
 }
 

@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := power.MeasureScan(scan.New(sol.Circuit), res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
+		rep, err := power.MeasureScanPacked(scan.New(sol.Circuit), res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -105,11 +105,11 @@ func main() {
 	if err := stored.Validate(c); err != nil {
 		log.Fatal(err)
 	}
-	trad, err := power.MeasureScanFast(scan.New(c), stored.Patterns, scan.Traditional(c), cfg.Leak, cfg.Cap)
+	trad, err := power.MeasureScanPacked(scan.New(c), stored.Patterns, scan.Traditional(c), cfg.Leak, cfg.Cap)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prop, err := power.MeasureScanFast(scan.New(sol.Circuit), stored.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
+	prop, err := power.MeasureScanPacked(scan.New(sol.Circuit), stored.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		log.Fatal(err)
 	}

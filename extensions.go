@@ -61,7 +61,7 @@ func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	propRep, err := cfg.Measure.measure(scan.New(prop.Circuit), res.Patterns, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
+	propRep, err := power.MeasureScanPackedOpts(scan.New(prop.Circuit), res.Patterns, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	enhRep, err := cfg.Measure.measure(scan.New(enh.Circuit), res.Patterns, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
+	enhRep, err := power.MeasureScanPackedOpts(scan.New(enh.Circuit), res.Patterns, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func studyReorderingWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 				return power.Report{}, err
 			}
 		}
-		return cfg.Measure.measure(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		return power.MeasureScanPackedOpts(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 	}
 
 	st := &ReorderingStudy{Circuit: c.Name, Structure: structure}
@@ -184,9 +184,6 @@ func scaledATPG(c *netlist.Circuit, cfg Config) atpg.Options {
 		aopts.MaxRandomPatterns = 2048
 		aopts.MaxBacktracks = 8
 		aopts.MaxPodemFaults = 300
-	}
-	if cfg.Lanes != 0 {
-		aopts.Lanes = cfg.Lanes
 	}
 	return aopts
 }
@@ -227,7 +224,7 @@ func StudyTechScaling(c *netlist.Circuit, cfg Config, shiftHz float64) ([]TechSc
 		if err != nil {
 			return nil, err
 		}
-		rep, err := cfg.Measure.measure(ch, res.Patterns, tcfg, lm, cm, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(ch, res.Patterns, tcfg, lm, cm)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +266,7 @@ func StudyChains(c *netlist.Circuit, cfg Config) ([]ChainStudyPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := cfg.Measure.measure(cs, res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(cs, res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +310,7 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		return nil, err
 	}
 	tcfg := scan.Traditional(c)
-	base, err := cfg.Measure.measure(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap, power.MeasureOptions{})
+	base, err := power.MeasureScanPacked(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		return nil, err
 	}
@@ -339,8 +336,8 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		if err != nil {
 			return nil, power.Report{}, err
 		}
-		rep, err := cfg.Measure.measure(scan.New(plan.Circuit),
-			plan.AdaptPatterns(res.Patterns), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, power.MeasureOptions{})
+		rep, err := power.MeasureScanPacked(scan.New(plan.Circuit),
+			plan.AdaptPatterns(res.Patterns), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap)
 		return plan, rep, err
 	}
 	if st.BasePeakPerHz <= st.LimitPerHz {

@@ -76,11 +76,11 @@ func FuzzFaultSimEquivalence(f *testing.F) {
 			t.Skip("degenerate circuit")
 		}
 
-		fs64 := NewFaultSim64(c)
+		fs64 := NewFaultSimW(c, 64)
 		fs64.SetPatterns(batch)
 		masks := make([]uint64, len(faults))
 		for i, flt := range faults {
-			masks[i] = fs64.DetectMask(flt)
+			masks[i] = fs64.DetectMask(flt)[0]
 		}
 
 		fs := NewFaultSim(c)
@@ -105,7 +105,7 @@ func FuzzFaultSimEquivalence(f *testing.F) {
 
 		pCount := make([]int, len(faults))
 		fs64.SetPatterns(batch)
-		pCredited := fs64.DetectAllMask(faults, pCount, nil, nDetect)
+		pCredited := fs64.DetectAllMask(faults, pCount, nil, nDetect)[0]
 		if pCredited != sCredited {
 			t.Fatalf("seed=%d nd=%d: DetectAllMask credited %064b, serial %064b",
 				seed, nDetect, pCredited, sCredited)

@@ -78,15 +78,6 @@ type Options struct {
 	// Seed drives random fill and the random phase; runs are fully
 	// deterministic for a given seed.
 	Seed int64
-	// Lanes sets the batch width of the width-free packed fault-simulation
-	// passes — static compaction here, coverage audits via CoverageOf.
-	// 0 means the default, sim.WideLanes; sim.LaneWidths lists the
-	// supported values. Purely a throughput knob: DetectAllMask credits
-	// lowest lanes first, so the result is identical at every width. The
-	// random phase and the deterministic fault-dropping buffer always run
-	// 64 wide — their rng stream and stall accounting are defined per
-	// 64-pattern batch.
-	Lanes int
 }
 
 // DefaultOptions returns the settings used by all experiments.
@@ -195,10 +186,6 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	if opts.NDetect < 1 {
 		opts.NDetect = 1
 	}
-	compactLanes, err := sim.ResolveLanes(opts.Lanes)
-	if err != nil {
-		return nil, fmt.Errorf("atpg: %w", err)
-	}
 	plan, err := newFillPlan(c, opts, groups)
 	if err != nil {
 		return nil, err
@@ -220,7 +207,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	// resets it, and the batch is cut at the pattern where the threshold
 	// trips.
 	stopRandom := ob.phaseTimer("random")
-	fs64 := NewFaultSim64(c)
+	fs64 := NewFaultSimW(c, sim.PackedLanes)
 	stall := 0
 	batch := make([]scan.Pattern, 0, 64)
 	type randHit struct {
@@ -252,7 +239,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			if detCount[i] >= opts.NDetect {
 				continue
 			}
-			mask := fs64.DetectMask(f)
+			mask := fs64.DetectMask(f)[0]
 			if mask == 0 {
 				continue
 			}
@@ -351,7 +338,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			t0 = time.Now()
 		}
 		fs64.SetPatterns(pending)
-		credited := fs64.DetectAllMask(faults, detCount, detected, opts.NDetect)
+		credited := fs64.DetectAllMask(faults, detCount, detected, opts.NDetect)[0]
 		for lane := range pending {
 			if credited&(1<<lane) != 0 {
 				patterns = append(patterns, pending[lane])
@@ -445,7 +432,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	stopPodem(len(patterns))
 
 	// Phase 3: reverse-order static compaction (quota-aware for NDetect),
-	// batched Options.Lanes patterns per packed pass.
+	// batched sim.WideLanes patterns per packed pass.
 	stopCompact := ob.phaseTimer("compact")
 	if opts.Compact && len(patterns) > 1 {
 		var t0 time.Time
@@ -453,7 +440,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			t0 = time.Now()
 		}
 		n := len(patterns)
-		patterns = compact(c, patterns, faults, opts.NDetect, compactLanes)
+		patterns = compact(c, patterns, faults, opts.NDetect)
 		if ob.OnFaultSimBatch != nil {
 			ob.OnFaultSimBatch("compact", n, time.Since(t0))
 		}
@@ -608,17 +595,17 @@ func extractPattern(c *netlist.Circuit, assign []logic.Value, rng *rand.Rand, mo
 	return pat
 }
 
-// compact re-fault-simulates the patterns in reverse order, lanes
-// patterns per packed pass, and keeps only those that detect a fault not
-// already covered (to its quota) by a kept pattern. Lane 0 of each chunk
-// is the latest unprocessed pattern and DetectAllMask credits lowest
-// lanes first, so the kept set is bit-identical to the serial reverse
-// sweep at every lane width.
-func compact(c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetect, lanes int) []scan.Pattern {
+// compact re-fault-simulates the patterns in reverse order,
+// sim.WideLanes patterns per packed pass, and keeps only those that
+// detect a fault not already covered (to its quota) by a kept pattern.
+// Lane 0 of each chunk is the latest unprocessed pattern and
+// DetectAllMask credits lowest lanes first, so the kept set is
+// bit-identical to the serial reverse sweep.
+func compact(c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetect int) []scan.Pattern {
 	if nDetect < 1 {
 		nDetect = 1
 	}
-	fs := NewFaultSimW(c, lanes)
+	fs := NewFaultSimW(c, sim.WideLanes)
 	width := fs.LaneWidth()
 	seen := make([]int, len(faults))
 	kept := make([]scan.Pattern, 0, len(patterns))

@@ -121,7 +121,7 @@ func TestDetectAllMaskMatchesSerialCrediting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	faults := AllFaults(c)
 	serial := NewFaultSim(c)
-	packed := NewFaultSim64(c)
+	packed := NewFaultSimW(c, 64)
 	for _, nd := range []int{1, 2, 5} {
 		for trial := 0; trial < 6; trial++ {
 			batch := randomBatch(c, rng, 1+rng.Intn(64))
@@ -149,7 +149,7 @@ func TestDetectAllMaskMatchesSerialCrediting(t *testing.T) {
 			}
 
 			packed.SetPatterns(batch)
-			pCredited := packed.DetectAllMask(faults, pCount, pDet, nd)
+			pCredited := packed.DetectAllMask(faults, pCount, pDet, nd)[0]
 			if pCredited != sCredited {
 				t.Fatalf("nd=%d trial=%d: credited lanes %064b, serial %064b",
 					nd, trial, pCredited, sCredited)

@@ -33,13 +33,14 @@ import (
 // structure arrays (fanin/fanout CSR, levels, observability flags)
 // instead of the pointer-rich netlist structs.
 //
-// The lane count is a pure throughput knob: detection masks are per-lane
-// exact, and DetectAllMask credits lowest lanes first — ascending word,
-// then ascending bit — which is exactly the order the early-exit word
-// walk discovers them, so results are independent of the width.
-// FaultSim64 wraps the 64-lane instantiation behind the original
-// single-word API for the generation phases whose rng stream and stall
-// accounting are defined in 64-pattern batches.
+// Detection masks are per-lane exact, and DetectAllMask credits lowest
+// lanes first — ascending word, then ascending bit — which is exactly the
+// order the early-exit word walk discovers them, so results are
+// independent of the width. Two widths exist for semantic reasons, not
+// speed: Generate's random phase and deterministic drop buffer define
+// their rng stream and stall accounting per 64-pattern batch and run at
+// sim.PackedLanes, while compaction and coverage audits run at
+// sim.WideLanes.
 type FaultSimW struct {
 	c    *netlist.Circuit
 	prog *sim.Program
@@ -74,17 +75,16 @@ type FaultSimW struct {
 }
 
 // NewFaultSimW builds a parallel simulator for the frozen circuit c with
-// the given lane count (0 means the default, sim.WideLanes). It panics —
+// the given lane count, sim.PackedLanes or sim.WideLanes. It panics —
 // naming the offender — on an unfrozen circuit or an unsupported width.
 func NewFaultSimW(c *netlist.Circuit, lanes int) *FaultSimW {
 	if !c.Frozen() {
 		panic(fmt.Sprintf("atpg: FaultSimW needs a frozen circuit, got unfrozen %q", c.Name))
 	}
-	width, err := sim.ResolveLanes(lanes)
-	if err != nil {
-		panic("atpg: " + err.Error())
+	if lanes != sim.PackedLanes && lanes != sim.WideLanes {
+		panic(fmt.Sprintf("atpg: invalid lane width %d (want %d or %d)", lanes, sim.PackedLanes, sim.WideLanes))
 	}
-	ww := width / 64
+	ww := lanes / 64
 	nNets, nGates := c.NumNets(), c.NumGates()
 
 	fs := &FaultSimW{
@@ -403,44 +403,6 @@ func (fs *FaultSimW) DetectAllMask(faults []Fault, detCount []int, detected []bo
 // Lanes returns the number of loaded pattern lanes (0 before the first
 // SetPatterns call); telemetry uses it to count packed work.
 func (fs *FaultSimW) Lanes() int { return fs.n }
-
-// FaultSim64 is the 64-lane instantiation of FaultSimW behind the
-// original single-word API: each mask is one uint64 over up to 64
-// pattern lanes. The random phase and the deterministic pending buffer of
-// Generate stay on this width — their rng stream and stall accounting are
-// defined per 64-pattern batch — while width-free passes (compaction,
-// coverage audits) run FaultSimW at the configured lane count.
-type FaultSim64 struct {
-	w *FaultSimW
-}
-
-// NewFaultSim64 builds a 64-lane parallel simulator for the frozen
-// circuit c.
-func NewFaultSim64(c *netlist.Circuit) *FaultSim64 {
-	return &FaultSim64{w: NewFaultSimW(c, 64)}
-}
-
-// SetPatterns loads up to 64 patterns (lane i = patterns[i]) and runs the
-// good-circuit simulation.
-func (fs *FaultSim64) SetPatterns(patterns []scan.Pattern) {
-	fs.w.SetPatterns(patterns)
-}
-
-// DetectMask returns, as a bitmask over the loaded lanes, the patterns
-// that detect fault f at a primary output or flop data input.
-func (fs *FaultSim64) DetectMask(f Fault) uint64 {
-	return fs.w.DetectMask(f)[0]
-}
-
-// DetectAllMask is FaultSimW.DetectAllMask over the 64-lane batch; see
-// that method for the lowest-lane crediting contract.
-func (fs *FaultSim64) DetectAllMask(faults []Fault, detCount []int, detected []bool, nDetect int) uint64 {
-	return fs.w.DetectAllMask(faults, detCount, detected, nDetect)[0]
-}
-
-// Lanes returns the number of loaded pattern lanes (0 before the first
-// SetPatterns call); telemetry uses it to count packed work.
-func (fs *FaultSim64) Lanes() int { return fs.w.Lanes() }
 
 // Fused (type, arity) opcodes for the event loop: the dominant one- and
 // two-input gates dispatch straight to a branch-free body instead of

@@ -11,7 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFaultSim64AgainstSerial cross-validates the bit-parallel simulator
+// TestFaultSim64AgainstSerial cross-validates the 64-lane bit-parallel
+// simulator (the width of Generate's random phase and drop buffer)
 // against the serial one, lane by lane, over random batches.
 func TestFaultSim64AgainstSerial(t *testing.T) {
 	c, err := bench.ParseString(s27, "s27")
@@ -20,7 +21,7 @@ func TestFaultSim64AgainstSerial(t *testing.T) {
 	}
 	faults := AllFaults(c)
 	fsS := NewFaultSim(c)
-	fsP := NewFaultSim64(c)
+	fsP := NewFaultSimW(c, sim.PackedLanes)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		n := 1 + rng.Intn(64)
@@ -35,7 +36,7 @@ func TestFaultSim64AgainstSerial(t *testing.T) {
 		}
 		fsP.SetPatterns(batch)
 		for _, f := range faults {
-			mask := fsP.DetectMask(f)
+			mask := fsP.DetectMask(f)[0]
 			for lane := 0; lane < n; lane++ {
 				fsS.SetPattern(batch[lane].PI, batch[lane].State)
 				want := fsS.Detects(f)
@@ -56,10 +57,10 @@ func TestFaultSim64LaneMaskRespectsBatchSize(t *testing.T) {
 	}
 	// One pattern: only lane 0 may ever be set.
 	p := scan.Pattern{PI: make([]bool, len(c.PIs)), State: make([]bool, c.NumFFs())}
-	fs := NewFaultSim64(c)
+	fs := NewFaultSimW(c, sim.PackedLanes)
 	fs.SetPatterns([]scan.Pattern{p})
 	for _, f := range AllFaults(c) {
-		if mask := fs.DetectMask(f); mask&^1 != 0 {
+		if mask := fs.DetectMask(f)[0]; mask&^1 != 0 {
 			t.Fatalf("fault %s: mask %b has bits beyond lane 0", f.Name(c), mask)
 		}
 	}
@@ -70,7 +71,7 @@ func TestFaultSim64PanicsOnBadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFaultSim64(c)
+	fs := NewFaultSimW(c, sim.PackedLanes)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty batch did not panic")
@@ -127,7 +128,7 @@ func BenchmarkFaultSim64Batch(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := AllFaults(c)
-	fs := NewFaultSim64(c)
+	fs := NewFaultSimW(c, sim.PackedLanes)
 	rng := rand.New(rand.NewSource(12))
 	batch := randomBatch(c, rng, 64)
 	b.ResetTimer()

@@ -53,7 +53,7 @@ func generateReference(ctx context.Context, c *netlist.Circuit, opts Options, ob
 	var patterns []scan.Pattern
 
 	stopRandom := ob.phaseTimer("random")
-	fs64 := NewFaultSim64(c)
+	fs64 := NewFaultSimW(c, 64)
 	stall := 0
 	batch := make([]scan.Pattern, 0, 64)
 	for tries := 0; tries < opts.MaxRandomPatterns && stall < opts.RandomStall; {
@@ -79,7 +79,7 @@ func generateReference(ctx context.Context, c *netlist.Circuit, opts Options, ob
 			if detCount[i] >= opts.NDetect {
 				continue
 			}
-			mask := fs64.DetectMask(f)
+			mask := fs64.DetectMask(f)[0]
 			if mask == 0 {
 				continue
 			}

@@ -1,11 +1,10 @@
 // Package cliflags centralizes the flag definitions and validation that
 // the scanpower commands share. cmd/tableone, cmd/scanpower and
-// cmd/scanpowerd all take the same backend selectors (-measure,
-// -mc-backend), worker-pool and timeout knobs, and — for anything that
-// boots or joins a scanpowerd cluster — the same cluster flags (-peers,
-// -store-dir, -store-max-bytes). Defining them here once keeps the
-// usage strings, defaults and validation identical everywhere, so a new
-// flag lands in every command by construction.
+// cmd/scanpowerd all take the same worker-pool and timeout knobs, and —
+// for anything that boots or joins a scanpowerd cluster — the same
+// cluster flags (-peers, -store-dir, -store-max-bytes). Defining them
+// here once keeps the usage strings, defaults and validation identical
+// everywhere, so a new flag lands in every command by construction.
 package cliflags
 
 import (
@@ -14,43 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"repro"
-	"repro/internal/sim"
 )
-
-// Measure registers the -measure backend selector on fs and returns its
-// value. Validate with ValidateMeasure after fs.Parse.
-func Measure(fs *flag.FlagSet) *string {
-	return fs.String("measure", string(scanpower.MeasurePacked),
-		"measurement kernel: packed (bit-parallel), fast (event-driven) or dense (full re-eval)")
-}
-
-// MC registers the -mc-backend selector on fs and returns its value.
-// Validate with ValidateMC after fs.Parse.
-func MC(fs *flag.FlagSet) *string {
-	return fs.String("mc-backend", string(scanpower.MCPacked),
-		"Monte-Carlo kernel for observability and fill: packed (64-way bit-parallel) or scalar")
-}
-
-// Lanes registers the -lanes packed batch-width selector on fs and
-// returns its value. Validate with ValidateLanes after fs.Parse.
-func Lanes(fs *flag.FlagSet) *int {
-	return fs.Int("lanes", 0, fmt.Sprintf(
-		"packed kernel batch width in patterns/samples per pass, one of %v (0 = default %d); results are bit-identical at every width",
-		sim.LaneWidths(), sim.WideLanes))
-}
-
-// ValidateLanes resolves a -lanes value to a concrete width: 0 means the
-// default (sim.WideLanes), the supported widths pass through, anything
-// else is an error naming them.
-func ValidateLanes(n int) (int, error) {
-	w, err := sim.ResolveLanes(n)
-	if err != nil {
-		return 0, fmt.Errorf("-lanes must be 0 or one of %v, got %d", sim.LaneWidths(), n)
-	}
-	return w, nil
-}
 
 // Workers registers the worker-pool size flag under name ("j" for the
 // batch tools, "workers" for the daemon) and returns its value.
@@ -81,51 +44,6 @@ func ValidateATPGWorkers(n int) (int, error) {
 // Timeout registers a duration flag under name and returns its value.
 func Timeout(fs *flag.FlagSet, name string, def time.Duration, usage string) *time.Duration {
 	return fs.Duration(name, def, usage)
-}
-
-// ValidateMeasure checks a -measure value against the known backends.
-func ValidateMeasure(s string) (scanpower.MeasureBackend, error) {
-	b := scanpower.MeasureBackend(s)
-	for _, want := range scanpower.MeasureBackends() {
-		if b == want {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("unknown measure backend %q (want one of %v)", s, scanpower.MeasureBackends())
-}
-
-// ValidateMC checks a -mc-backend value against the known backends.
-func ValidateMC(s string) (scanpower.MCBackend, error) {
-	b := scanpower.MCBackend(s)
-	for _, want := range scanpower.MCBackends() {
-		if b == want {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("unknown mc backend %q (want one of %v)", s, scanpower.MCBackends())
-}
-
-// BackendConfig returns DefaultConfig with the validated -measure,
-// -mc-backend and -lanes selections applied — the shared "flags to
-// Config" step of every command.
-func BackendConfig(measure, mc string, lanes int) (scanpower.Config, error) {
-	cfg := scanpower.DefaultConfig()
-	m, err := ValidateMeasure(measure)
-	if err != nil {
-		return cfg, err
-	}
-	b, err := ValidateMC(mc)
-	if err != nil {
-		return cfg, err
-	}
-	w, err := ValidateLanes(lanes)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Measure = m
-	cfg.MC = b
-	cfg.Lanes = w
-	return cfg, nil
 }
 
 // Cluster carries the cluster-mode flag values: peer daemons and the

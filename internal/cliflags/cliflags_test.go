@@ -3,32 +3,28 @@ package cliflags
 import (
 	"flag"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
-
-	"repro"
-	"repro/internal/sim"
 )
 
 func TestSharedFlagsParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	measure := Measure(fs)
-	mc := MC(fs)
-	lanes := Lanes(fs)
 	workers := Workers(fs, "j", 4, "worker pool size")
+	atpgWorkers := ATPGWorkers(fs)
 	timeout := Timeout(fs, "timeout", 0, "run deadline")
 	cluster := ClusterFlags(fs)
 
 	err := fs.Parse([]string{
-		"-measure", "dense", "-mc-backend", "scalar", "-lanes", "64", "-j", "2", "-timeout", "90s",
+		"-j", "2", "-atpg-workers", "3", "-timeout", "90s",
 		"-peers", " 10.0.0.2:8344, http://10.0.0.3:8344/ ,",
 		"-store-dir", "/tmp/s", "-store-max-bytes", "1024",
 	})
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if *measure != "dense" || *mc != "scalar" || *lanes != 64 || *workers != 2 || *timeout != 90*time.Second {
-		t.Errorf("parsed %q %q %d %d %v", *measure, *mc, *lanes, *workers, *timeout)
+	if *workers != 2 || *atpgWorkers != 3 || *timeout != 90*time.Second {
+		t.Errorf("parsed %d %d %v", *workers, *atpgWorkers, *timeout)
 	}
 	if cluster.StoreDir != "/tmp/s" || cluster.StoreMaxBytes != 1024 {
 		t.Errorf("cluster = %+v", cluster)
@@ -41,14 +37,13 @@ func TestSharedFlagsParse(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	measure := Measure(fs)
-	mc := MC(fs)
+	atpgWorkers := ATPGWorkers(fs)
 	cluster := ClusterFlags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if *measure != string(scanpower.MeasurePacked) || *mc != string(scanpower.MCPacked) {
-		t.Errorf("defaults %q %q", *measure, *mc)
+	if *atpgWorkers != 1 {
+		t.Errorf("-atpg-workers default = %d, want 1 (serial)", *atpgWorkers)
 	}
 	if cluster.PeerList() != nil {
 		t.Errorf("empty -peers parsed to %v", cluster.PeerList())
@@ -59,40 +54,14 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := ValidateMeasure("quantum"); err == nil {
-		t.Error("ValidateMeasure accepted quantum")
+	if _, err := ValidateATPGWorkers(-1); err == nil {
+		t.Error("ValidateATPGWorkers accepted -1")
 	}
-	if _, err := ValidateMC("gpu"); err == nil {
-		t.Error("ValidateMC accepted gpu")
+	if n, err := ValidateATPGWorkers(0); err != nil || n != runtime.GOMAXPROCS(0) {
+		t.Errorf("ValidateATPGWorkers(0) = %d, %v; want GOMAXPROCS", n, err)
 	}
-	for _, m := range scanpower.MeasureBackends() {
-		if _, err := ValidateMeasure(string(m)); err != nil {
-			t.Errorf("ValidateMeasure(%q): %v", m, err)
-		}
-	}
-	if _, err := ValidateLanes(100); err == nil {
-		t.Error("ValidateLanes accepted 100")
-	}
-	if w, err := ValidateLanes(0); err != nil || w != sim.WideLanes {
-		t.Errorf("ValidateLanes(0) = %d, %v; want the %d default", w, err, sim.WideLanes)
-	}
-	for _, n := range sim.LaneWidths() {
-		if w, err := ValidateLanes(n); err != nil || w != n {
-			t.Errorf("ValidateLanes(%d) = %d, %v", n, w, err)
-		}
-	}
-	cfg, err := BackendConfig("fast", "scalar", 64)
-	if err != nil {
-		t.Fatalf("BackendConfig: %v", err)
-	}
-	if cfg.Measure != scanpower.MeasureFast || cfg.MC != scanpower.MCScalar || cfg.Lanes != 64 {
-		t.Errorf("BackendConfig applied %q %q %d", cfg.Measure, cfg.MC, cfg.Lanes)
-	}
-	if _, err := BackendConfig("nope", "packed", 0); err == nil {
-		t.Error("BackendConfig accepted bad measure")
-	}
-	if _, err := BackendConfig("packed", "packed", 33); err == nil {
-		t.Error("BackendConfig accepted bad lane width")
+	if n, err := ValidateATPGWorkers(3); err != nil || n != 3 {
+		t.Errorf("ValidateATPGWorkers(3) = %d, %v", n, err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/scan"
-	"repro/internal/sim"
 	"repro/internal/timing"
 )
 
@@ -63,12 +62,6 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 	if opts.JustifyBacktracks <= 0 {
 		opts.JustifyBacktracks = 50
 	}
-	if !opts.MC.valid() {
-		return nil, fmt.Errorf("core: unknown MC backend %q", opts.MC)
-	}
-	if _, err := sim.ResolveLanes(opts.Lanes); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	work := c.Clone()
 	if err := work.Freeze(); err != nil {
 		return nil, err
@@ -107,25 +100,20 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 		sol.Stats.CriticalDelay = timing.Analyze(work, opts.Delay).Critical
 	}
 
-	// Leakage observability directive. Both backends consume the shared
-	// rng's stream identically, so the finder below sees the same draws
-	// whichever kernel ran.
+	// Leakage observability directive. The packed estimate consumes the
+	// shared rng's stream exactly as the scalar reference does, so the
+	// finder below sees the same draws.
 	var ob *obs.Observability
 	if opts.ObsDirected {
 		doneObs := opts.Observe.phaseTimer("observability")
-		var err error
-		if opts.MC.packed() {
-			po := obs.PackedOpts{OnSamples: opts.Observe.OnObsSamples, Lanes: opts.Lanes}
-			if mcb := opts.Observe.OnMCBatch; mcb != nil {
-				po.OnBatch = func(lanes int, elapsed time.Duration) {
-					mcb("obs", lanes, elapsed)
-				}
+		po := obs.PackedOpts{OnSamples: opts.Observe.OnObsSamples}
+		if mcb := opts.Observe.OnMCBatch; mcb != nil {
+			po.OnBatch = func(lanes int, elapsed time.Duration) {
+				mcb("obs", lanes, elapsed)
 			}
-			ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, po)
-		} else {
-			ob, err = obs.EstimateObserved(ctx, work, opts.Leak, opts.ObsSamples, rng,
-				opts.Observe.OnObsSamples)
 		}
+		var err error
+		ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, po)
 		doneObs()
 		if err != nil {
 			return nil, err

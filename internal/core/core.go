@@ -30,36 +30,6 @@ import (
 	"repro/internal/timing"
 )
 
-// MCBackend selects the kernel behind the flow's two Monte-Carlo loops:
-// the leakage-observability estimate and the minimum-leakage don't-care
-// fill. Both backends are bit-identical for the same Options.Seed — the
-// packed kernels draw the random stream in the scalar order and fold
-// results in the scalar accumulation order — so the choice is purely a
-// matter of speed.
-type MCBackend string
-
-const (
-	// MCAuto (the zero value) resolves to MCPacked.
-	MCAuto MCBackend = ""
-	// MCPacked runs both loops on the 64-way bit-parallel simulators,
-	// sharded across a worker pool. The default.
-	MCPacked MCBackend = "packed"
-	// MCScalar runs the serial reference kernels (one vector at a time).
-	MCScalar MCBackend = "scalar"
-)
-
-// valid reports whether b names a known backend.
-func (b MCBackend) valid() bool {
-	switch b {
-	case MCAuto, MCPacked, MCScalar:
-		return true
-	}
-	return false
-}
-
-// packed reports whether b resolves to the packed kernels.
-func (b MCBackend) packed() bool { return b != MCScalar }
-
 // Options configures Build.
 type Options struct {
 	// UseMux enables the proposed MUX insertion; when false the flow
@@ -86,15 +56,6 @@ type Options struct {
 	MuxMask []bool
 	// Seed makes the randomized pieces reproducible.
 	Seed int64
-	// MC selects the Monte-Carlo kernel backend for the observability
-	// estimate and the don't-care fill; the zero value means packed.
-	// Results are identical across backends for the same Seed.
-	MC MCBackend
-	// Lanes is the batch width of the packed Monte-Carlo kernels (see
-	// sim.LaneWidths; 0 means the default, sim.WideLanes). Results are
-	// bit-identical across widths, so this is purely a throughput knob;
-	// the scalar backend ignores it.
-	Lanes int
 
 	// Observe receives fine-grained flow telemetry; the zero value is
 	// free. Excluded from JSON so Options summaries stay marshalable.
@@ -120,7 +81,7 @@ type Observer struct {
 	// OnPhase fires when a flow phase completes: "observability",
 	// "blocking", "fill", or "reorder".
 	OnPhase func(phase string, elapsed time.Duration)
-	// OnMCBatch fires once per 64-lane batch evaluated by a packed
+	// OnMCBatch fires once per 256-lane batch evaluated by a packed
 	// Monte-Carlo kernel: kind is "obs" or "fill", lanes the vectors (or
 	// fill trials) the batch carried, elapsed its evaluation wall time.
 	// Called from a single goroutine per kernel run.

@@ -10,53 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// fillScalar is the serial reference kernel of the minimum-leakage fill:
-// one random completion per trial, implied and costed in place. The
-// per-trial cost runs on the precomputed X-averaged tables of
-// leakage.CircuitTables3 — bit-identical to CircuitLeak, minus the
-// per-gate map lookup and refinement enumeration the old loop repeated
-// FillTrials times.
-//
-// Returns the winning per-input values, parallel to unassigned. On
-// cancellation mid-search the best completion seen so far is returned
-// and the latched context error makes the caller discard the run.
-func (f *finder) fillScalar(unassigned []netlist.NetID, trials int) []logic.Value {
-	c := f.c
-	tabs3 := f.opts.Leak.CircuitTables3(c)
-	bestLeak := 0.0
-	best := make([]logic.Value, len(unassigned))
-	cur := make([]logic.Value, len(unassigned))
-	for trial := 0; trial < trials; trial++ {
-		if f.cancelled() {
-			break
-		}
-		for i, n := range unassigned {
-			if trial == 0 && f.ob != nil {
-				cur[i] = logic.FromBool(f.ob.PreferredValue(n))
-			} else {
-				cur[i] = logic.FromBool(f.rng.Intn(2) == 1)
-			}
-			f.assign[n] = cur[i]
-		}
-		f.imply()
-		leak := f.opts.Leak.CircuitLeakTabs3(c, f.val, tabs3)
-		if trial == 0 || leak < bestLeak {
-			bestLeak = leak
-			copy(best, cur)
-		}
-	}
-	return best
-}
-
-// fillScratch is the reusable state of fillPacked for one (circuit, lane
-// width) pair: the compiled dual-rail evaluator, the broadcast base
-// state, per-worker net-state buffers, and per-batch cost buffers. A
-// finished fill returns its scratch to fillPool, so repeated fills on the
-// same circuit (ablations, repeated Builds) allocate nothing batch-sized.
+// fillScratch is the reusable state of fillPacked for one circuit: the
+// compiled dual-rail evaluator, the broadcast base state, per-worker
+// net-state buffers, and per-batch cost buffers. A finished fill returns
+// its scratch to fillPool, so repeated fills on the same circuit
+// (ablations, repeated Builds) allocate nothing batch-sized.
 type fillScratch struct {
 	c     *netlist.Circuit
-	ww    int
-	eval  func(v, x []uint64) // stateless: shared by all workers
+	eval  *sim.Wide3 // stateless: shared by all workers
 	baseV []uint64
 	baseX []uint64
 	vs    [][]uint64 // per worker
@@ -68,20 +29,14 @@ type fillScratch struct {
 
 var fillPool sync.Pool
 
-// getFillScratch fetches pooled scratch compatible with (c, ww) or
-// builds a fresh one.
-func getFillScratch(c *netlist.Circuit, ww int) *fillScratch {
-	if s, _ := fillPool.Get().(*fillScratch); s != nil && s.c == c && s.ww == ww {
+// getFillScratch fetches pooled scratch compatible with c or builds a
+// fresh one.
+func getFillScratch(c *netlist.Circuit) *fillScratch {
+	if s, _ := fillPool.Get().(*fillScratch); s != nil && s.c == c {
 		return s
 	}
-	s := &fillScratch{c: c, ww: ww}
-	prog := sim.Compile(c)
-	if ww == 1 {
-		s.eval = sim.NewPacked3Program(prog).EvalNets
-	} else {
-		s.eval = sim.NewWide3Program(prog).EvalNets
-	}
-	nw := c.NumNets() * ww
+	s := &fillScratch{c: c, eval: sim.NewWide3(c)}
+	nw := c.NumNets() * sim.WideWords
 	s.baseV = make([]uint64, nw)
 	s.baseX = make([]uint64, nw)
 	return s
@@ -89,14 +44,14 @@ func getFillScratch(c *netlist.Circuit, ww int) *fillScratch {
 
 // ensure grows the scratch to workers net-state buffers and nBatches
 // cost buffers.
-func (s *fillScratch) ensure(workers, nBatches, laneWidth int) {
-	nw := s.c.NumNets() * s.ww
+func (s *fillScratch) ensure(workers, nBatches int) {
+	nw := s.c.NumNets() * sim.WideWords
 	for len(s.vs) < workers {
 		s.vs = append(s.vs, make([]uint64, nw))
 		s.xs = append(s.xs, make([]uint64, nw))
 	}
 	for len(s.cycs) < nBatches {
-		s.cycs = append(s.cycs, make([]float64, laneWidth))
+		s.cycs = append(s.cycs, make([]float64, sim.WideLanes))
 	}
 	if len(s.lanes) < nBatches {
 		s.lanes = make([]int, nBatches)
@@ -104,34 +59,27 @@ func (s *fillScratch) ensure(workers, nBatches, laneWidth int) {
 	}
 }
 
-// fillPacked runs the same search many trials at a time on the dual-rail
-// three-valued simulator: each trial is one lane (opts.Lanes per batch,
-// default sim.WideLanes = 256), free pseudo-inputs stay X in every lane,
-// and per-lane costs come from the X-averaged tables in the scalar gate
-// order.
+// fillPacked runs the minimum-leakage search many trials at a time on the
+// 256-lane dual-rail three-valued simulator: each trial is one lane, free
+// pseudo-inputs stay X in every lane, and per-lane costs come from the
+// X-averaged tables in the scalar gate order.
 //
-// Bit-identity with fillScalar holds at every lane width because (a) the
-// candidate bits are drawn up front in the scalar loop's exact rng order
-// — trial 0 under the observability directive takes the preferred-value
-// vector and draws nothing, (b) the packed dual-rail lanes equal
-// logic.Eval on the same inputs, (c) leakage.AccumLeak3PackedW
-// accumulates each lane in CircuitLeakTabs3's gate order, and (d) the
-// reduction walks trials in ascending order with the scalar first-wins
-// tie-break. Batches are sharded across a worker pool; the reduction is
-// a single goroutine.
+// It is bit-identical to the serial reference search (fillScalar, kept
+// as the test oracle: one random completion per trial, implied and
+// costed in place) because (a) the candidate bits are drawn up front in
+// the scalar loop's exact rng order — trial 0 under the observability
+// directive takes the preferred-value vector and draws nothing, (b) the
+// packed dual-rail lanes equal logic.Eval on the same inputs, (c)
+// leakage.AccumLeak3PackedW accumulates each lane in CircuitLeakTabs3's
+// gate order, and (d) the reduction walks trials in ascending order with
+// the scalar first-wins tie-break. Batches are sharded across a worker
+// pool; the reduction is a single goroutine.
 func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Value {
 	best := make([]logic.Value, len(unassigned))
 	if f.cancelled() {
 		return best
 	}
-	laneWidth, err := sim.ResolveLanes(f.opts.Lanes)
-	if err != nil {
-		// BuildContext validates Options.Lanes up front; latch the error
-		// for direct finder users and return the empty completion.
-		f.err = err
-		return best
-	}
-	ww := laneWidth / 64
+	const laneWidth, ww = sim.WideLanes, sim.WideWords
 	c := f.c
 	lm := f.opts.Leak
 	tabs3 := lm.CircuitTables3(c)
@@ -139,7 +87,7 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 	nBatches := (trials + laneWidth - 1) / laneWidth
 
 	// cand[i*nWords+w] bit t = input i's value in trial w*64+t. Drawn in
-	// the scalar loop's exact rng order, independent of the lane width.
+	// the scalar loop's exact rng order.
 	cand := make([]uint64, len(unassigned)*nWords)
 	for trial := 0; trial < trials; trial++ {
 		w := trial >> 6
@@ -161,8 +109,8 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 	if workers > nBatches {
 		workers = nBatches
 	}
-	scratch := getFillScratch(c, ww)
-	scratch.ensure(workers, nBatches, laneWidth)
+	scratch := getFillScratch(c)
+	scratch.ensure(workers, nBatches)
 	defer fillPool.Put(scratch)
 
 	// The lane pattern every trial shares: committed controlled inputs
@@ -213,7 +161,7 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 				x[grp+k] = 0
 			}
 		}
-		scratch.eval(v, x)
+		scratch.eval.EvalNets(v, x)
 		cyc := scratch.cycs[wi]
 		for t := 0; t < n; t++ {
 			cyc[t] = 0

@@ -246,10 +246,8 @@ func (f *finder) run() {
 // minimum-leakage search ([14]): FillTrials random completions are
 // simulated and the cheapest kept. With the observability directive the
 // first candidate is the per-input preferred-value vector, so the greedy
-// choice competes against the random samples. The search itself runs on
-// the backend Options.MC selects — fillScalar and fillPacked draw the
-// same random stream and keep the same first-wins tie-break, so the
-// winning completion is identical either way.
+// choice competes against the random samples. The search runs on the
+// packed kernel, fillPacked.
 func (f *finder) fill() (filled int) {
 	c := f.c
 	var unassigned []netlist.NetID
@@ -266,12 +264,7 @@ func (f *finder) fill() (filled int) {
 	if trials < 1 {
 		trials = 1
 	}
-	var best []logic.Value
-	if f.opts.MC.packed() {
-		best = f.fillPacked(unassigned, trials)
-	} else {
-		best = f.fillScalar(unassigned, trials)
-	}
+	best := f.fillPacked(unassigned, trials)
 	for i, n := range unassigned {
 		f.assign[n] = best[i]
 	}

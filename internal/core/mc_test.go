@@ -9,44 +9,109 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
+	"repro/internal/obs"
 )
 
-// solutionsIdentical returns "" when two solutions agree bit for bit on
-// every externally visible field, else the first differing field. The MC
-// backends promise bit-identity, so no tolerance is applied anywhere.
-func solutionsIdentical(a, b *Solution) string {
-	if a.Stats != b.Stats {
-		return "Stats"
+// fillScalar is the serial reference kernel of the minimum-leakage fill,
+// the oracle fillPacked is pinned against: one random completion per
+// trial, implied and costed in place on the precomputed X-averaged tables
+// of leakage.CircuitTables3 (bit-identical to CircuitLeak).
+//
+// Returns the winning per-input values, parallel to unassigned. On
+// cancellation mid-search the best completion seen so far is returned
+// and the latched context error makes the caller discard the run.
+func (f *finder) fillScalar(unassigned []netlist.NetID, trials int) []logic.Value {
+	c := f.c
+	tabs3 := f.opts.Leak.CircuitTables3(c)
+	bestLeak := 0.0
+	best := make([]logic.Value, len(unassigned))
+	cur := make([]logic.Value, len(unassigned))
+	for trial := 0; trial < trials; trial++ {
+		if f.cancelled() {
+			break
+		}
+		for i, n := range unassigned {
+			if trial == 0 && f.ob != nil {
+				cur[i] = logic.FromBool(f.ob.PreferredValue(n))
+			} else {
+				cur[i] = logic.FromBool(f.rng.Intn(2) == 1)
+			}
+			f.assign[n] = cur[i]
+		}
+		f.imply()
+		leak := f.opts.Leak.CircuitLeakTabs3(c, f.val, tabs3)
+		if trial == 0 || leak < bestLeak {
+			bestLeak = leak
+			copy(best, cur)
+		}
 	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			return "Assign"
-		}
-		if a.Val[i] != b.Val[i] {
-			return "Val"
-		}
-		if a.Trans[i] != b.Trans[i] {
-			return "Trans"
-		}
-	}
-	for i := range a.Cfg.PIHold {
-		if a.Cfg.PIHold[i] != b.Cfg.PIHold[i] {
-			return "Cfg.PIHold"
-		}
-	}
-	for i := range a.Cfg.Muxed {
-		if a.Cfg.Muxed[i] != b.Cfg.Muxed[i] || a.Cfg.MuxVal[i] != b.Cfg.MuxVal[i] {
-			return "Cfg.Mux"
-		}
-	}
-	return ""
+	return best
 }
 
-// TestMCPackedBuildEquivalence: the packed Monte-Carlo backend must
-// reproduce the scalar backend's full flow output — assignment, implied
-// state, Table-I-feeding stats, shift config — on real circuits, for both
-// the proposed flow and the input-control baseline.
+// finderAtFill replays Build up to the don't-care fill — MUX selection,
+// the observability estimate and the blocking search — and returns the
+// finder together with the controlled inputs the fill must complete.
+// Calls with equal arguments return equal, independent states, rng
+// position included.
+func finderAtFill(t testing.TB, c *netlist.Circuit, opts Options) (*finder, []netlist.NetID) {
+	t.Helper()
+	work := c.Clone()
+	if err := work.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	muxable := make([]bool, work.NumFFs())
+	switch {
+	case opts.UseMux && opts.MuxMask != nil:
+		copy(muxable, opts.MuxMask)
+	case opts.UseMux:
+		muxable, _ = AddMUX(work, opts.Delay)
+	}
+	var ob *obs.Observability
+	if opts.ObsDirected {
+		var err error
+		ob, err = obs.EstimatePacked(context.Background(), work, opts.Leak, opts.ObsSamples, rng, obs.PackedOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newFinder(work, &opts, muxable, ob, rng)
+	f.run()
+	var unassigned []netlist.NetID
+	for _, n := range work.CombInputs() {
+		if f.controlled[n] && f.assign[n] == logic.X {
+			unassigned = append(unassigned, n)
+		}
+	}
+	return f, unassigned
+}
+
+// fillMismatch runs fillScalar and fillPacked from two equal finder
+// states and returns "" when they pick the same completion and leave the
+// rng in the same state, else what differs. It also reports how many
+// inputs the fill completed, so callers can reject vacuous cases.
+func fillMismatch(t testing.TB, c *netlist.Circuit, opts Options, trials int) (string, int) {
+	t.Helper()
+	ref, refIn := finderAtFill(t, c, opts)
+	got, gotIn := finderAtFill(t, c, opts)
+	want := ref.fillScalar(refIn, trials)
+	have := got.fillPacked(gotIn, trials)
+	for i := range want {
+		if want[i] != have[i] {
+			return "completion", len(want)
+		}
+	}
+	if ref.rng.Int63() != got.rng.Int63() {
+		return "rng end state", len(want)
+	}
+	return "", len(want)
+}
+
+// TestMCPackedBuildEquivalence: the packed don't-care fill must pick the
+// scalar reference's completion — and consume its rng stream exactly —
+// from the same finder state, on real circuits, for both the proposed
+// flow and the input-control baseline, at trial counts below, at and
+// across the 256-lane batch width.
 func TestMCPackedBuildEquivalence(t *testing.T) {
 	p, _ := iscas.ByName("s344")
 	gen, err := iscas.Generate(p)
@@ -54,111 +119,72 @@ func TestMCPackedBuildEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	circuits := map[string]*netlist.Circuit{"s27": mappedS27(t), "s344": gen}
+	filled := 0
 	for name, c := range circuits {
 		for _, mk := range []func() Options{ProposedOptions, InputControlOptions} {
-			scalarOpts := mk()
-			scalarOpts.MC = MCScalar
-			ref, err := Build(c, scalarOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, lanes := range sim.LaneWidths() {
-				packedOpts := mk()
-				packedOpts.MC = MCPacked
-				packedOpts.Lanes = lanes
-				got, err := Build(c, packedOpts)
-				if err != nil {
-					t.Fatal(err)
+			for _, trials := range []int{1, 100, 256, 600} {
+				opts := mk()
+				diff, n := fillMismatch(t, c, opts, trials)
+				if diff != "" {
+					t.Errorf("%s UseMux=%v trials=%d: %s differs between scalar and packed fill",
+						name, opts.UseMux, trials, diff)
 				}
-				if field := solutionsIdentical(ref, got); field != "" {
-					t.Errorf("%s UseMux=%v lanes=%d: %s differs between scalar and packed backends",
-						name, scalarOpts.UseMux, lanes, field)
-				}
+				filled += n
 			}
 		}
 	}
-}
-
-func TestMCBackendValidation(t *testing.T) {
-	c := mappedS27(t)
-	opts := ProposedOptions()
-	opts.MC = "vectorized" // not a backend
-	if _, err := Build(c, opts); err == nil {
-		t.Fatal("Build accepted an unknown MC backend")
-	}
-	opts = ProposedOptions()
-	opts.Lanes = 128 // not a supported lane width
-	if _, err := Build(c, opts); err == nil {
-		t.Fatal("Build accepted an unsupported lane width")
+	if filled == 0 {
+		t.Fatal("no case left don't-cares to fill; the test no longer exercises the fill")
 	}
 }
 
 // TestBuildObsDeadline: a context cancelled while the observability
-// estimate is running must abort the whole flow with the context's error
-// — for both backends.
+// estimate is running must abort the whole flow with the context's error.
 func TestBuildObsDeadline(t *testing.T) {
 	c := mappedS27(t)
-	for _, backend := range []MCBackend{MCScalar, MCPacked} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := ProposedOptions()
-		opts.MC = backend
-		opts.ObsSamples = 1 << 20
-		opts.Observe.OnObsSamples = func(int) { cancel() }
-		sol, err := BuildContext(ctx, c, opts)
-		if err != context.Canceled {
-			t.Errorf("%q: BuildContext = (%v, %v), want context.Canceled", backend, sol, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := ProposedOptions()
+	opts.ObsSamples = 1 << 20
+	opts.Observe.OnObsSamples = func(int) { cancel() }
+	sol, err := BuildContext(ctx, c, opts)
+	if err != context.Canceled {
+		t.Errorf("BuildContext = (%v, %v), want context.Canceled", sol, err)
 	}
 }
 
-// TestMCBatchTelemetry: with the packed backend every Monte-Carlo batch
-// must surface through Observer.OnMCBatch, with lane totals accounting
-// for every observability vector and every fill trial exactly once.
+// TestMCBatchTelemetry: every Monte-Carlo batch must surface through
+// Observer.OnMCBatch, with lane totals accounting for every observability
+// vector and every fill trial exactly once.
 func TestMCBatchTelemetry(t *testing.T) {
 	c := mappedS27(t)
 	opts := ProposedOptions()
-	opts.ObsSamples = 200
+	opts.ObsSamples = 300
 	opts.FillTrials = 100
-	for _, width := range sim.LaneWidths() {
-		opts.Lanes = width
-		laneTotal := map[string]int{}
-		opts.Observe.OnMCBatch = func(kind string, lanes int, elapsed time.Duration) {
-			if kind != "obs" && kind != "fill" {
-				t.Errorf("unknown MC batch kind %q", kind)
-			}
-			if lanes < 1 || lanes > width {
-				t.Errorf("width %d: %s batch carries %d lanes", width, kind, lanes)
-			}
-			if elapsed < 0 {
-				t.Errorf("%s batch has negative elapsed", kind)
-			}
-			laneTotal[kind] += lanes
+	laneTotal := map[string]int{}
+	opts.Observe.OnMCBatch = func(kind string, lanes int, elapsed time.Duration) {
+		if kind != "obs" && kind != "fill" {
+			t.Errorf("unknown MC batch kind %q", kind)
 		}
-		sol, err := Build(c, opts)
-		if err != nil {
-			t.Fatal(err)
+		if lanes < 1 || lanes > 256 {
+			t.Errorf("%s batch carries %d lanes", kind, lanes)
 		}
-		if laneTotal["obs"] != opts.ObsSamples {
-			t.Errorf("width %d: obs batches carried %d lanes, want %d", width, laneTotal["obs"], opts.ObsSamples)
+		if elapsed < 0 {
+			t.Errorf("%s batch has negative elapsed", kind)
 		}
-		if sol.Stats.FilledInputs == 0 {
-			t.Fatal("flow left no don't-cares to fill; test circuit no longer exercises fill")
-		}
-		if laneTotal["fill"] != opts.FillTrials {
-			t.Errorf("width %d: fill batches carried %d lanes, want %d", width, laneTotal["fill"], opts.FillTrials)
-		}
+		laneTotal[kind] += lanes
 	}
-	opts.Lanes = 0
-
-	// The scalar backend evaluates no packed batches.
-	opts.MC = MCScalar
-	calls := 0
-	opts.Observe.OnMCBatch = func(string, int, time.Duration) { calls++ }
-	if _, err := Build(c, opts); err != nil {
+	sol, err := Build(c, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 0 {
-		t.Errorf("scalar backend emitted %d MC batches", calls)
+	if laneTotal["obs"] != opts.ObsSamples {
+		t.Errorf("obs batches carried %d lanes, want %d", laneTotal["obs"], opts.ObsSamples)
+	}
+	if sol.Stats.FilledInputs == 0 {
+		t.Fatal("flow left no don't-cares to fill; test circuit no longer exercises fill")
+	}
+	if laneTotal["fill"] != opts.FillTrials {
+		t.Errorf("fill batches carried %d lanes, want %d", laneTotal["fill"], opts.FillTrials)
 	}
 }
 
@@ -209,10 +235,10 @@ func randomMCCircuit(rng *rand.Rand) *netlist.Circuit {
 	return c
 }
 
-// FuzzMCPackedEquivalence drives random circuits and flow shapes through
-// both Monte-Carlo backends and requires bit-equal solutions. `make
-// fuzz-equiv` runs this continuously; the seed corpus runs on every
-// `go test`.
+// FuzzMCPackedEquivalence drives random circuits and flow shapes to the
+// don't-care fill and requires the packed and scalar fills to pick the
+// same completion and leave the rng in the same state. `make fuzz-equiv`
+// runs this continuously; the seed corpus runs on every `go test`.
 func FuzzMCPackedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), true, uint8(100), uint8(70))
 	f.Add(int64(2), uint8(0xFF), false, uint8(1), uint8(1))
@@ -220,30 +246,18 @@ func FuzzMCPackedEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, muxMask uint8, obsDirected bool, obsSamples, fillTrials uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomMCCircuit(rng)
-		mk := func(b MCBackend) Options {
-			opts := ProposedOptions()
-			opts.MC = b
-			opts.Seed = seed
-			opts.ObsDirected = obsDirected
-			opts.ObsSamples = int(obsSamples) + 1
-			opts.FillTrials = int(fillTrials) + 1
-			opts.MuxMask = make([]bool, c.NumFFs())
-			for fi := range opts.MuxMask {
-				opts.MuxMask[fi] = muxMask>>(uint(fi)%8)&1 == 1
-			}
-			return opts
+		opts := ProposedOptions()
+		opts.Seed = seed
+		opts.ObsDirected = obsDirected
+		opts.ObsSamples = int(obsSamples) + 1
+		opts.MuxMask = make([]bool, c.NumFFs())
+		for fi := range opts.MuxMask {
+			opts.MuxMask[fi] = muxMask>>(uint(fi)%8)&1 == 1
 		}
-		ref, err := Build(c, mk(MCScalar))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Build(c, mk(MCPacked))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if field := solutionsIdentical(ref, got); field != "" {
+		trials := int(fillTrials)*3 + 1 // up to 766: crosses the 256-lane batches
+		if diff, _ := fillMismatch(t, c, opts, trials); diff != "" {
 			t.Fatalf("seed=%d mux=%x obs=%v samples=%d trials=%d: %s differs",
-				seed, muxMask, obsDirected, int(obsSamples)+1, int(fillTrials)+1, field)
+				seed, muxMask, obsDirected, opts.ObsSamples, trials, diff)
 		}
 	})
 }

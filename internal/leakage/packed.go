@@ -4,20 +4,12 @@ import (
 	"repro/internal/netlist"
 )
 
-// AccumLeakPacked adds every gate's leakage to the per-lane accumulators
-// for a bit-parallel per-net state: words[n] carries net n's value in bit
-// t for lane t (the layout of sim.Packed), and cyc[t] receives the sum of
-// tabs[gi][input bits of gate gi in lane t] over all gates, for t < n.
-// It is AccumLeakPackedW at one word per net.
-func (m *Model) AccumLeakPacked(c *netlist.Circuit, words []uint64, n int, tabs [][]float64, cyc []float64) {
-	m.AccumLeakPackedW(c, words, 1, n, tabs, cyc)
-}
-
-// AccumLeakPackedW is the lane-width-generic packed leakage accumulator:
-// words holds ww uint64 words per net (net n's group at
-// words[int(n)*ww:...], lane t at bit t&63 of word t>>6 — the layout of
-// sim.Packed at ww=1 and sim.Wide at ww=4), and cyc[t] receives the sum
-// of tabs[gi][input bits in lane t] over all gates, for t < n.
+// AccumLeakPackedW adds every gate's leakage to the per-lane
+// accumulators for a bit-parallel per-net state: words holds ww uint64
+// words per net (net n's group at words[int(n)*ww:...], lane t at bit
+// t&63 of word t>>6 — the layout of sim.Packed at ww=1 and sim.Wide at
+// ww=4), and cyc[t] receives the sum of tabs[gi][input bits in lane t]
+// over all gates, for t < n.
 //
 // The accumulation order is load-bearing: each cyc[t] is built in
 // ascending gate-index order — exactly the order CircuitLeakBoolTabs sums

@@ -30,14 +30,14 @@ func TestAccumLeakPackedMatchesScalar(t *testing.T) {
 	tabs := m.CircuitTables(c)
 	rng := rand.New(rand.NewSource(11))
 	words := make([]uint64, c.NumNets())
-	// Random per-net words: AccumLeakPacked only reads, so an arbitrary
+	// Random per-net words: AccumLeakPackedW only reads, so an arbitrary
 	// (even combinationally inconsistent) state exercises every table row.
 	for i := range words {
 		words[i] = rng.Uint64()
 	}
 	for _, n := range []int{1, 13, 64} {
 		cyc := make([]float64, n)
-		m.AccumLeakPacked(c, words, n, tabs, cyc)
+		m.AccumLeakPackedW(c, words, 1, n, tabs, cyc)
 		state := make([]bool, c.NumNets())
 		for lane := 0; lane < n; lane++ {
 			for i := range state {

@@ -102,24 +102,17 @@ func (m *Model) CircuitLeakTabs3(c *netlist.Circuit, state []logic.Value, tabs3 
 	return total
 }
 
-// AccumLeak3Packed is AccumLeakPacked for the dual-rail three-valued lane
-// layout of sim.Packed3: v[n]/x[n] carry net n's packed value/unknown
-// bits, and cyc[t] receives the X-averaged leakage sum of lane t over all
-// gates, for t < n, using tables from CircuitTables3.
+// AccumLeak3PackedW is AccumLeakPackedW for the dual-rail three-valued
+// lane layout of sim.Wide3: v and x hold ww words per net carrying each
+// net's packed value/unknown bits, and cyc[t] receives lane t's
+// X-averaged leakage sum over all gates, for t < n, using tables from
+// CircuitTables3.
 //
-// As with AccumLeakPacked, the accumulation order is load-bearing: each
+// As with AccumLeakPackedW, the accumulation order is load-bearing: each
 // cyc[t] is built in ascending gate-index order — exactly the order
 // CircuitLeak (and CircuitLeakTabs3) sums one scalar state — so per-lane
 // totals are bit-identical to the serial evaluation of the same
 // three-valued state.
-func (m *Model) AccumLeak3Packed(c *netlist.Circuit, v, x []uint64, n int, tabs3 [][]float64, cyc []float64) {
-	m.AccumLeak3PackedW(c, v, x, 1, n, tabs3, cyc)
-}
-
-// AccumLeak3PackedW is the lane-width-generic form of AccumLeak3Packed:
-// v and x hold ww words per net (the dual-rail layout of sim.Packed3 at
-// ww=1 and sim.Wide3 at ww=4), and cyc[t] receives lane t's X-averaged
-// leakage sum over all gates, for t < n.
 //
 // Like AccumLeakPackedW, the lanes are tiled eight at a time — one
 // 8-lane block of accumulators stays in registers across a full walk of
@@ -249,25 +242,17 @@ func (m *Model) AccumLeak3PackedW(c *netlist.Circuit, v, x []uint64, ww, n int, 
 	}
 }
 
-// AccumLineLeakPacked folds one packed batch into the per-line
-// conditional-leakage accumulators of the observability estimate:
-// words[n] carries net n's binary value in bit t for lane t (the layout
-// of sim.Packed), cyc[t] the total circuit leakage of lane t, and for
-// every net the lanes where it carried 1 add cyc[t] to sum1[n] and bump
-// cnt1[n], for t < n only.
+// AccumLineLeakPackedW folds one packed batch into the per-line
+// conditional-leakage accumulators of the observability estimate: words
+// holds ww words per net (len(words)/ww nets), lane t of net n at bit
+// t&63 of words[int(n)*ww+t>>6], cyc[t] the total circuit leakage of lane
+// t, and for every net the lanes where it carried 1 add cyc[t] to sum1[n]
+// and bump cnt1[n], for t < n only.
 //
-// Per net, lanes are visited in ascending order — the order the scalar
-// estimator adds samples — so sum1 stays bit-identical to the serial
-// Monte-Carlo accumulation when callers feed batches in sample order.
-func AccumLineLeakPacked(words []uint64, n int, cyc []float64, sum1 []float64, cnt1 []int) {
-	AccumLineLeakPackedW(words, 1, n, cyc, sum1, cnt1)
-}
-
-// AccumLineLeakPackedW is the lane-width-generic form of
-// AccumLineLeakPacked: words holds ww words per net (len(words)/ww nets),
-// lane t of net n at bit t&63 of words[int(n)*ww+t>>6], and lanes up to n
-// are folded per net in ascending lane order (ascending word, then
-// ascending bit) — the order the scalar estimator adds samples.
+// Per net, lanes are visited in ascending order (ascending word, then
+// ascending bit) — the order the scalar estimator adds samples — so sum1
+// stays bit-identical to the serial Monte-Carlo accumulation when callers
+// feed batches in sample order.
 func AccumLineLeakPackedW(words []uint64, ww, n int, cyc []float64, sum1 []float64, cnt1 []int) {
 	nets := len(words) / ww
 	for ni := 0; ni < nets; ni++ {

@@ -82,7 +82,7 @@ func TestAccumLeak3PackedMatchesScalar(t *testing.T) {
 	}
 	for _, n := range []int{1, 13, 64} {
 		cyc := make([]float64, 64)
-		m.AccumLeak3Packed(c, v, x, n, tabs3, cyc)
+		m.AccumLeak3PackedW(c, v, x, 1, n, tabs3, cyc)
 		for tl := 0; tl < n; tl++ {
 			want := m.CircuitLeak(c, lanes[tl])
 			if cyc[tl] != want {
@@ -114,7 +114,7 @@ func TestAccumLineLeakPacked(t *testing.T) {
 		}
 		sum1 := make([]float64, nNets)
 		cnt1 := make([]int, nNets)
-		AccumLineLeakPacked(words, n, cyc, sum1, cnt1)
+		AccumLineLeakPackedW(words, 1, n, cyc, sum1, cnt1)
 
 		wantSum := make([]float64, nNets)
 		wantCnt := make([]int, nNets)

@@ -16,10 +16,6 @@ import (
 type PackedOpts struct {
 	// Workers bounds the evaluation pool; values < 1 mean GOMAXPROCS.
 	Workers int
-	// Lanes is the batch width: how many random vectors are evaluated per
-	// packed pass (see sim.LaneWidths; 0 means the default,
-	// sim.WideLanes). Estimates are bit-identical across widths.
-	Lanes int
 	// OnSamples, when non-nil, receives the number of vectors folded into
 	// the estimate since its previous call — once per packed batch, from
 	// the reducing goroutine, so it need not be safe for concurrent use.
@@ -33,82 +29,72 @@ type PackedOpts struct {
 // estSlot is one in-flight batch: inputs drawn serially on the main
 // goroutine, evaluated by a worker, folded in order by the reducer.
 type estSlot struct {
-	pi, ppi []uint64  // packed input lane groups (ww words per input)
+	pi, ppi []uint64  // packed input lane groups (sim.WideWords words per input)
 	n       int       // lanes carried (== the lane width except the tail)
 	words   []uint64  // per-net lane groups after evaluation
 	cyc     []float64 // per-lane circuit leakage
 	elapsed time.Duration
 }
 
-// estScratch is the reusable state of EstimatePacked for one (circuit,
-// lane width) pair: the compiled program, per-worker simulators, and the
-// batch slots. A finished run returns its scratch to estPool so repeated
-// estimates on the same circuit allocate nothing batch-sized.
+// estScratch is the reusable state of EstimatePacked for one circuit: the
+// compiled program, per-worker simulators, and the batch slots. A
+// finished run returns its scratch to estPool so repeated estimates on
+// the same circuit allocate nothing batch-sized.
 type estScratch struct {
 	c     *netlist.Circuit
-	ww    int
 	prog  *sim.Program
 	slots []*estSlot
-	evals []func(pi, ppi []uint64) []uint64
+	evals []*sim.Wide
 }
 
 var estPool sync.Pool
 
-// getEstScratch fetches pooled scratch compatible with (c, ww) or builds
-// a fresh one. An incompatible pooled entry is simply dropped.
-func getEstScratch(c *netlist.Circuit, ww int) *estScratch {
-	if s, _ := estPool.Get().(*estScratch); s != nil && s.c == c && s.ww == ww {
+// getEstScratch fetches pooled scratch compatible with c or builds a
+// fresh one. An incompatible pooled entry is simply dropped.
+func getEstScratch(c *netlist.Circuit) *estScratch {
+	if s, _ := estPool.Get().(*estScratch); s != nil && s.c == c {
 		return s
 	}
-	return &estScratch{c: c, ww: ww, prog: sim.Compile(c)}
+	return &estScratch{c: c, prog: sim.Compile(c)}
 }
 
 // ensure grows the scratch to hold window slots and workers evaluators.
-func (s *estScratch) ensure(window, workers, lanes int) {
-	c, ww := s.c, s.ww
+func (s *estScratch) ensure(window, workers int) {
+	c, ww := s.c, sim.WideWords
 	for len(s.slots) < window {
 		s.slots = append(s.slots, &estSlot{
 			pi:    make([]uint64, len(c.PIs)*ww),
 			ppi:   make([]uint64, c.NumFFs()*ww),
 			words: make([]uint64, c.NumNets()*ww),
-			cyc:   make([]float64, lanes),
+			cyc:   make([]float64, sim.WideLanes),
 		})
 	}
 	for len(s.evals) < workers {
-		if ww == 1 {
-			s.evals = append(s.evals, sim.NewPackedProgram(s.prog).Eval)
-		} else {
-			s.evals = append(s.evals, sim.NewWideProgram(s.prog).Eval)
-		}
+		s.evals = append(s.evals, sim.NewWideProgram(s.prog))
 	}
 }
 
-// EstimatePacked is EstimateObserved on the bit-parallel simulator:
-// opts.Lanes random vectors (default sim.WideLanes = 256) pack into lane
-// words per net, the compiled combinational core evaluates once per
-// batch, per-lane leakage comes from leakage.AccumLeakPackedW, and the
-// per-line conditional accumulators fold through
-// leakage.AccumLineLeakPackedW. Batches are sharded across a worker pool.
+// EstimatePacked is EstimateObserved on the 256-lane bit-parallel
+// simulator: sim.WideLanes random vectors pack into lane words per net,
+// the compiled combinational core evaluates once per batch, per-lane
+// leakage comes from leakage.AccumLeakPackedW, and the per-line
+// conditional accumulators fold through leakage.AccumLineLeakPackedW.
+// Batches are sharded across a worker pool.
 //
 // The result is bit-identical to the scalar kernel for the same rng, not
-// merely statistically equivalent — and therefore seed-stable at every
-// lane width: the random stream is drawn in the exact serial sample order
-// while packing (so the rng ends in the same state the scalar kernel
-// leaves it in), each lane's leakage is summed in the scalar gate order,
-// and the reducer folds batches in ascending sample order on a single
-// goroutine. Workers only ever evaluate; they never touch the global
-// accumulators.
+// merely statistically equivalent — and therefore seed-stable: the
+// random stream is drawn in the exact serial sample order while packing
+// (so the rng ends in the same state the scalar kernel leaves it in),
+// each lane's leakage is summed in the scalar gate order, and the reducer
+// folds batches in ascending sample order on a single goroutine. Workers
+// only ever evaluate; they never touch the global accumulators.
 //
 // ctx is checked before every batch is drawn and before every fold, so a
 // job deadline aborts the estimate promptly with ctx's error.
 func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, samples int,
 	rng *rand.Rand, opts PackedOpts) (*Observability, error) {
 
-	lanes, err := sim.ResolveLanes(opts.Lanes)
-	if err != nil {
-		return nil, err
-	}
-	ww := lanes / 64
+	const lanes, ww = sim.WideLanes, sim.WideWords
 
 	if samples <= 0 {
 		samples = 128
@@ -138,8 +124,8 @@ func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, 
 	if window > nBatches {
 		window = nBatches
 	}
-	scratch := getEstScratch(c, ww)
-	scratch.ensure(window, workers, lanes)
+	scratch := getEstScratch(c)
+	scratch.ensure(window, workers)
 	defer estPool.Put(scratch)
 	slots := scratch.slots
 
@@ -147,7 +133,7 @@ func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, 
 	// per-lane leakage accumulation.
 	evalSlot := func(w int, s *estSlot) {
 		t0 := time.Now()
-		words := scratch.evals[w](s.pi, s.ppi)
+		words := scratch.evals[w].Eval(s.pi, s.ppi)
 		copy(s.words, words)
 		for t := 0; t < s.n; t++ {
 			s.cyc[t] = 0

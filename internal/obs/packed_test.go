@@ -54,73 +54,66 @@ func testCircuit(t testing.TB) *netlist.Circuit {
 }
 
 // TestMCPackedObsEquivalence: the packed estimator must reproduce the
-// scalar kernel bit for bit — across batch-boundary sample counts, worker
-// counts, and the s27 real circuit — and leave the rng in the same state.
+// scalar kernel bit for bit — across word- and batch-boundary sample
+// counts, worker counts, and the s27 real circuit — and leave the rng in
+// the same state.
 func TestMCPackedObsEquivalence(t *testing.T) {
 	lm := leakage.Default()
 	circuits := []*netlist.Circuit{testCircuit(t), iscas.S27()}
 	for _, c := range circuits {
-		for _, samples := range []int{1, 63, 64, 65, 100, 500} {
+		for _, samples := range []int{1, 63, 64, 65, 100, 255, 256, 257, 600} {
 			for _, workers := range []int{1, 3} {
-				for _, lanes := range sim.LaneWidths() {
-					r1 := rand.New(rand.NewSource(42))
-					r2 := rand.New(rand.NewSource(42))
-					ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := EstimatePacked(context.Background(), c, lm, samples, r2,
-						PackedOpts{Workers: workers, Lanes: lanes})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if field := obsIdentical(ref, got); field != "" {
-						t.Fatalf("%s samples=%d workers=%d lanes=%d: %s differs",
-							c.Name, samples, workers, lanes, field)
-					}
-					// Seed stability beyond this call: the packed kernel must
-					// consume exactly the scalar kernel's random stream.
-					if a, b := r1.Int63(), r2.Int63(); a != b {
-						t.Fatalf("%s samples=%d lanes=%d: rng state diverged (%d vs %d)",
-							c.Name, samples, lanes, a, b)
-					}
+				r1 := rand.New(rand.NewSource(42))
+				r2 := rand.New(rand.NewSource(42))
+				ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := EstimatePacked(context.Background(), c, lm, samples, r2,
+					PackedOpts{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if field := obsIdentical(ref, got); field != "" {
+					t.Fatalf("%s samples=%d workers=%d: %s differs",
+						c.Name, samples, workers, field)
+				}
+				// Seed stability beyond this call: the packed kernel must
+				// consume exactly the scalar kernel's random stream.
+				if a, b := r1.Int63(), r2.Int63(); a != b {
+					t.Fatalf("%s samples=%d: rng state diverged (%d vs %d)",
+						c.Name, samples, a, b)
 				}
 			}
 		}
 	}
-	if _, err := EstimatePacked(context.Background(), circuits[0], lm, 64,
-		rand.New(rand.NewSource(1)), PackedOpts{Lanes: 96}); err == nil {
-		t.Error("unsupported lane width accepted")
-	}
 }
 
 // TestMCPackedObsTelemetry: per-batch sample reports must sum to the
-// request and every batch must carry 1..width lanes.
+// request and every batch must carry 1..sim.WideLanes lanes.
 func TestMCPackedObsTelemetry(t *testing.T) {
 	c := testCircuit(t)
-	for _, width := range sim.LaneWidths() {
-		total, batches, lanes := 0, 0, 0
-		_, err := EstimatePacked(context.Background(), c, leakage.Default(), 200,
-			rand.New(rand.NewSource(8)), PackedOpts{
-				Lanes:     width,
-				OnSamples: func(n int) { total += n },
-				OnBatch: func(n int, _ time.Duration) {
-					batches++
-					lanes += n
-					if n < 1 || n > width {
-						t.Errorf("width %d: batch of %d lanes", width, n)
-					}
-				},
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != 200 || lanes != 200 {
-			t.Errorf("width %d: OnSamples %d / OnBatch lanes %d, want 200", width, total, lanes)
-		}
-		if want := (200 + width - 1) / width; batches != want {
-			t.Errorf("width %d: OnBatch fired %d times, want %d", width, batches, want)
-		}
+	const samples = 600
+	total, batches, lanes := 0, 0, 0
+	_, err := EstimatePacked(context.Background(), c, leakage.Default(), samples,
+		rand.New(rand.NewSource(8)), PackedOpts{
+			OnSamples: func(n int) { total += n },
+			OnBatch: func(n int, _ time.Duration) {
+				batches++
+				lanes += n
+				if n < 1 || n > sim.WideLanes {
+					t.Errorf("batch of %d lanes", n)
+				}
+			},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != samples || lanes != samples {
+		t.Errorf("OnSamples %d / OnBatch lanes %d, want %d", total, lanes, samples)
+	}
+	if want := (samples + sim.WideLanes - 1) / sim.WideLanes; batches != want {
+		t.Errorf("OnBatch fired %d times, want %d", batches, want)
 	}
 }
 

@@ -11,19 +11,18 @@ import (
 
 // MeasureScanPacked is MeasureScan on the bit-parallel simulator: it
 // packs consecutive scan-stream cycles into lane words — 64 per uint64,
-// opts.Lanes cycles per batch (default sim.WideLanes = 256) — evaluates
-// the combinational core once per batch with word-wide boolean operations
+// sim.WideLanes (256) cycles per batch — evaluates the combinational
+// core once per batch with word-wide boolean operations
 // over the compiled levelized program, counts toggled capacitance from
 // the popcount of prev^cur per net, and resolves every gate's leakage
 // state per lane from the packed words.
 //
-// Results are bit-identical to MeasureScan — not merely close, and at
-// every supported lane width: the per-cycle accumulation orders of the
-// serial kernel (net order within a cycle for switched capacitance, gate
-// order within a cycle for leakage, cycle order across the run) are
-// reproduced exactly, so every float in the Report matches to the last
-// ulp. The equivalence is enforced by unit and fuzz tests, like the
-// existing MeasureScanFast guarantee.
+// Results are bit-identical to MeasureScan — not merely close: the
+// per-cycle accumulation orders of the serial kernel (net order within a
+// cycle for switched capacitance, gate order within a cycle for leakage,
+// cycle order across the run) are reproduced exactly, so every float in
+// the Report matches to the last ulp. The equivalence is enforced by unit
+// and fuzz tests; MeasureScan is the production kernel's test oracle.
 func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
 	return MeasureScanPackedOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
@@ -33,11 +32,7 @@ func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftCo
 func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
 
-	lanes, err := sim.ResolveLanes(opts.Lanes)
-	if err != nil {
-		return Report{}, err
-	}
-	ww := lanes / 64
+	const lanes, ww = sim.WideLanes, sim.WideWords
 
 	c := ch.Circuit()
 	prog := sim.Compile(c)
@@ -45,17 +40,10 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	leakTabs := lm.CircuitTables(c)
 	nNets := c.NumNets()
 
-	// eval runs the shared compiled program at the chosen width over the
-	// flat input layout (ww words per PI/FF) and returns the flat per-net
-	// lane words (ww words per net).
-	var eval func(piW, ppiW []uint64) []uint64
-	if ww == 1 {
-		ps := sim.NewPackedProgram(prog)
-		eval = ps.Eval
-	} else {
-		wide := sim.NewWideProgram(prog)
-		eval = wide.Eval
-	}
+	// wide runs the compiled program over the flat input layout (ww words
+	// per PI/FF) and returns the flat per-net lane words (ww words per
+	// net).
+	wide := sim.NewWideProgram(prog)
 
 	// The capture responses run the same compiled program one lane at a
 	// time (lane 0 of a private packed instance): bit 0 of every output
@@ -95,7 +83,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 			return
 		}
 		start := time.Now()
-		words := eval(piW, ppiW)
+		words := wide.Eval(piW, ppiW)
 
 		for t := 0; t < n; t++ {
 			cycLeak[t] = 0

@@ -69,7 +69,7 @@ func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 	withMux.PIHold[0] = logic.One
 	cfgs = append(cfgs, withMux)
 
-	for _, nPats := range []int{1, 12} {
+	for _, nPats := range []int{1, 12, 40} {
 		pats := randomPatterns(rng, c, nPats)
 		for ci, cfg := range cfgs {
 			for _, includeCapture := range []bool{false, true} {
@@ -78,16 +78,13 @@ func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, lanes := range sim.LaneWidths() {
-					opts.Lanes = lanes
-					packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if field := reportsIdentical(slow, packed); field != "" {
-						t.Errorf("pats=%d cfg=%d cap=%v lanes=%d: %s differs: serial %+v, packed %+v",
-							nPats, ci, includeCapture, lanes, field, slow, packed)
-					}
+				packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if field := reportsIdentical(slow, packed); field != "" {
+					t.Errorf("pats=%d cfg=%d cap=%v: %s differs: serial %+v, packed %+v",
+						nPats, ci, includeCapture, field, slow, packed)
 				}
 			}
 		}
@@ -95,7 +92,7 @@ func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 }
 
 // TestMeasureScanPackedPartialBatch: a stream far shorter than one
-// 64-lane batch must still match the serial kernel.
+// 256-lane batch must still match the serial kernel.
 func TestMeasureScanPackedPartialBatch(t *testing.T) {
 	c := buildShiftReg(t)
 	lm := leakage.Default()
@@ -139,10 +136,6 @@ func TestMeasureScanPackedEmptyAndErrors(t *testing.T) {
 		leakage.Default(), DefaultCapModel(), MeasureOptions{Ctx: ctx}); err == nil {
 		t.Error("cancelled context not honoured")
 	}
-	if _, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
-		leakage.Default(), DefaultCapModel(), MeasureOptions{Lanes: 128}); err == nil {
-		t.Error("unsupported lane width accepted")
-	}
 }
 
 // TestMeasureScanPackedHooks: OnPattern fires once per pattern in order,
@@ -153,42 +146,39 @@ func TestMeasureScanPackedHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := randomPatterns(rand.New(rand.NewSource(5)), c, 5)
-	for _, width := range sim.LaneWidths() {
-		var patIdx []int
-		lanes := 0
-		batches := 0
-		opts := MeasureOptions{
-			Lanes:     width,
-			OnPattern: func(i int) { patIdx = append(patIdx, i) },
-			OnBatch: func(n int, _ time.Duration) {
-				lanes += n
-				batches++
-				if n < 1 || n > width {
-					t.Errorf("width %d: batch of %d lanes", width, n)
-				}
-			},
-		}
-		rep, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
-			leakage.Default(), DefaultCapModel(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(patIdx) != len(pats) {
-			t.Fatalf("width %d: OnPattern fired %d times, want %d", width, len(patIdx), len(pats))
-		}
-		for i, got := range patIdx {
-			if got != i {
-				t.Errorf("width %d: OnPattern[%d] = %d", width, i, got)
+	pats := randomPatterns(rand.New(rand.NewSource(5)), c, 40)
+	var patIdx []int
+	lanes := 0
+	batches := 0
+	opts := MeasureOptions{
+		OnPattern: func(i int) { patIdx = append(patIdx, i) },
+		OnBatch: func(n int, _ time.Duration) {
+			lanes += n
+			batches++
+			if n < 1 || n > sim.WideLanes {
+				t.Errorf("batch of %d lanes", n)
 			}
+		},
+	}
+	rep, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
+		leakage.Default(), DefaultCapModel(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(patIdx) != len(pats) {
+		t.Fatalf("OnPattern fired %d times, want %d", len(patIdx), len(pats))
+	}
+	for i, got := range patIdx {
+		if got != i {
+			t.Errorf("OnPattern[%d] = %d", i, got)
 		}
-		// Observed cycles = counted transitions + the priming observation.
-		if want := rep.Cycles + 1; lanes != want {
-			t.Errorf("width %d: OnBatch lanes sum = %d, want %d", width, lanes, want)
-		}
-		if wantMin := (rep.Cycles + 1 + width - 1) / width; batches < wantMin {
-			t.Errorf("width %d: OnBatch fired %d times, want >= %d", width, batches, wantMin)
-		}
+	}
+	// Observed cycles = counted transitions + the priming observation.
+	if want := rep.Cycles + 1; lanes != want {
+		t.Errorf("OnBatch lanes sum = %d, want %d", lanes, want)
+	}
+	if wantMin := (rep.Cycles + 1 + sim.WideLanes - 1) / sim.WideLanes; batches < wantMin || batches < 2 {
+		t.Errorf("OnBatch fired %d times, want >= max(2, %d)", batches, wantMin)
 	}
 }
 
@@ -269,51 +259,13 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range sim.LaneWidths() {
-			opts.Lanes = lanes
-			packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if field := reportsIdentical(slow, packed); field != "" {
-				t.Fatalf("seed=%d np=%d mux=%x cap=%v lanes=%d: %s differs: serial %+v, packed %+v",
-					seed, np, muxMask, includeCapture, lanes, field, slow, packed)
-			}
+		packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if field := reportsIdentical(slow, packed); field != "" {
+			t.Fatalf("seed=%d np=%d mux=%x cap=%v: %s differs: serial %+v, packed %+v",
+				seed, np, muxMask, includeCapture, field, slow, packed)
 		}
 	})
-}
-
-// BenchmarkScanKernels compares the three measurement kernels on a
-// traditional-scan ISCAS stream with >= 64 patterns — the regime the
-// Table I rows spend their wall time in. The packed kernel's >= 5x edge
-// over the event-driven path here is an acceptance criterion recorded in
-// BENCH_*.json.
-func BenchmarkScanKernels(b *testing.B) {
-	p, _ := iscas.ByName("s1423")
-	c, err := iscas.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := scan.Traditional(c)
-	pats := randomPatterns(rand.New(rand.NewSource(40)), c, 64)
-	lm := leakage.Default()
-	cm := DefaultCapModel()
-	ch := scan.New(c)
-	kernels := []struct {
-		name string
-		fn   func() (Report, error)
-	}{
-		{"dense", func() (Report, error) { return MeasureScan(ch, pats, cfg, lm, cm) }},
-		{"fast", func() (Report, error) { return MeasureScanFast(ch, pats, cfg, lm, cm) }},
-		{"packed", func() (Report, error) { return MeasureScanPacked(ch, pats, cfg, lm, cm) }},
-	}
-	for _, k := range kernels {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := k.fn(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

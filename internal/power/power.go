@@ -132,13 +132,8 @@ type MeasureOptions struct {
 	// OnBatch, when non-nil, fires after each packed batch of lanes is
 	// evaluated, with the number of cycles packed into the batch and the
 	// wall time the batch took. Only MeasureScanPacked emits it; the
-	// serial kernels never call it.
+	// serial reference MeasureScan never calls it.
 	OnBatch func(lanes int, elapsed time.Duration) `json:"-"`
-	// Lanes is the batch width of the packed kernel: how many scan cycles
-	// are evaluated per pass (see sim.LaneWidths; 0 means the default,
-	// sim.WideLanes). Reports are bit-identical across widths, so this is
-	// purely a throughput knob; the serial kernels ignore it.
-	Lanes int
 }
 
 // patternHook wraps a capture function so OnPattern fires once per

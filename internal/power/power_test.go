@@ -2,15 +2,12 @@ package power
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/iscas"
 	"repro/internal/leakage"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/scan"
-	"repro/internal/sim"
 )
 
 func buildShiftReg(t *testing.T) *netlist.Circuit {
@@ -210,112 +207,5 @@ func TestCapModelForNode(t *testing.T) {
 	}
 	if _, err := CapModelForNode(14); err == nil {
 		t.Error("accepted unsupported node")
-	}
-}
-
-// TestMeasureScanFastMatchesSlow: the event-driven incremental
-// measurement must agree with the full re-evaluation path on every
-// metric, across structures and capture accounting modes.
-func TestMeasureScanFastMatchesSlow(t *testing.T) {
-	p, _ := iscas.ByName("s344")
-	c, err := iscas.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := leakage.Default()
-	cm := DefaultCapModel()
-	rng := rand.New(rand.NewSource(20))
-	var pats []scan.Pattern
-	for i := 0; i < 12; i++ {
-		pat := scan.Pattern{PI: make([]bool, len(c.PIs)), State: make([]bool, c.NumFFs())}
-		sim.RandomVector(rng, pat.PI)
-		sim.RandomVector(rng, pat.State)
-		pats = append(pats, pat)
-	}
-	cfgs := []scan.ShiftConfig{scan.Traditional(c)}
-	withMux := scan.Traditional(c)
-	for f := range withMux.Muxed {
-		if f%2 == 0 {
-			withMux.Muxed[f] = true
-			withMux.MuxVal[f] = f%4 == 0
-		}
-	}
-	withMux.PIHold[0] = logic.One
-	cfgs = append(cfgs, withMux)
-	for ci, cfg := range cfgs {
-		for _, includeCapture := range []bool{false, true} {
-			opts := MeasureOptions{IncludeCapture: includeCapture}
-			slow, err := MeasureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := MeasureScanFastOpts(scan.New(c), pats, cfg, lm, cm, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slow.Cycles != fast.Cycles {
-				t.Fatalf("cfg %d cap=%v: cycles %d vs %d", ci, includeCapture, slow.Cycles, fast.Cycles)
-			}
-			close := func(a, b, tol float64, what string) {
-				if math.Abs(a-b) > tol*(math.Abs(a)+1e-30) {
-					t.Errorf("cfg %d cap=%v: %s %v vs %v", ci, includeCapture, what, a, b)
-				}
-			}
-			close(slow.DynamicPerHz, fast.DynamicPerHz, 1e-9, "dynamic")
-			close(slow.PeakDynamicPerHz, fast.PeakDynamicPerHz, 1e-9, "peak")
-			close(slow.StaticUW, fast.StaticUW, 1e-9, "static")
-			if slow.MeanTogglesPerCycle != fast.MeanTogglesPerCycle {
-				t.Errorf("cfg %d cap=%v: toggles %v vs %v", ci, includeCapture,
-					slow.MeanTogglesPerCycle, fast.MeanTogglesPerCycle)
-			}
-		}
-	}
-}
-
-func BenchmarkMeasureScanFull(b *testing.B) {
-	benchMeasure(b, false)
-}
-
-func BenchmarkMeasureScanEventDriven(b *testing.B) {
-	benchMeasure(b, true)
-}
-
-func benchMeasure(b *testing.B, fast bool) {
-	b.Helper()
-	p, _ := iscas.ByName("s1423")
-	c, err := iscas.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Mostly-quiet structure: every other flop muxed — where the event
-	// simulator shines.
-	cfg := scan.Traditional(c)
-	for f := range cfg.Muxed {
-		if f%4 != 0 {
-			cfg.Muxed[f] = true
-		}
-	}
-	rng := rand.New(rand.NewSource(30))
-	var pats []scan.Pattern
-	for i := 0; i < 20; i++ {
-		pat := scan.Pattern{PI: make([]bool, len(c.PIs)), State: make([]bool, c.NumFFs())}
-		sim.RandomVector(rng, pat.PI)
-		sim.RandomVector(rng, pat.State)
-		pats = append(pats, pat)
-	}
-	lm := leakage.Default()
-	cm := DefaultCapModel()
-	ch := scan.New(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if fast {
-			_, err = MeasureScanFast(ch, pats, cfg, lm, cm)
-		} else {
-			_, err = MeasureScan(ch, pats, cfg, lm, cm)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }

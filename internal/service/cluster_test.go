@@ -270,12 +270,16 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// The down-mark short-circuits the next submit for the same owner:
-	// still served locally, still no client-visible error.
+	// still served locally, still no client-visible error. A distinct
+	// deadline makes it a new job rather than a coalesced repeat.
 	code, _, body = postJob(t, urlA, map[string]any{
-		"bench": s27Bench, "name": nameDead, "measure": "dense", "wait": true,
+		"bench": s27Bench, "name": nameDead, "timeout_ms": 60000, "wait": true,
 	})
-	if code != http.StatusOK || body["state"] != "done" {
+	if code != http.StatusOK || body["state"] != "done" || body["coalesced"] == true {
 		t.Fatalf("second failover submit: status %d (%v)", code, body)
+	}
+	if runsA.count() != 2 {
+		t.Errorf("second failover ran %d jobs locally in total, want 2", runsA.count())
 	}
 
 	// /v1/cluster reports the peer unreachable.
@@ -290,7 +294,9 @@ func TestClusterFailover(t *testing.T) {
 
 // TestServiceStoreWarmRestart is the service-level warm-start contract:
 // a restarted daemon serves a previously computed job from disk with
-// bit-identical result bytes and no recompute.
+// bit-identical result bytes and no recompute. Every backend name shares
+// the one "-packed" entry, so a "fast" submit after the restart is served
+// from what a default submit stored.
 func TestServiceStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *store.Store {
@@ -332,6 +338,9 @@ func TestServiceStoreWarmRestart(t *testing.T) {
 	if reg1.Counter(MetricStorePuts).Value() != 1 {
 		t.Fatalf("store puts = %d, want 1", reg1.Counter(MetricStorePuts).Value())
 	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*-packed.json")); len(names) != 1 {
+		t.Fatalf("store entries named *-packed.json: %v, want exactly one", names)
+	}
 
 	// Second life: same directory, fresh process state. The submit is
 	// done before a worker could have touched it, served from disk.
@@ -343,9 +352,9 @@ func TestServiceStoreWarmRestart(t *testing.T) {
 	defer svc2.Close()
 
 	code, _, body = postJob(t, srv2.URL, map[string]any{
-		"bench": s27Bench, "name": "warm-s27", "wait": true,
+		"bench": s27Bench, "name": "warm-s27", "measure": "fast", "wait": true,
 	})
-	if code != http.StatusOK || body["state"] != "done" {
+	if code != http.StatusOK || body["state"] != "done" || body["measure"] != "packed" {
 		t.Fatalf("warm submit: status %d (%v)", code, body)
 	}
 	secondBytes := fetch(srv2.URL, body["id"].(string))

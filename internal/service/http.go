@@ -142,7 +142,7 @@ func (s *Service) jobJSON(j *Job, coalesced bool) jobResponse {
 		Node:      s.opts.Self,
 		TraceID:   snap.TraceID,
 		Circuit:   snap.Circuit,
-		Measure:   string(effectiveMeasure(snap.Measure)),
+		Measure:   measureName,
 		State:     string(snap.State),
 		Coalesced: coalesced,
 		TimeoutMS: snap.Timeout.Milliseconds(),
@@ -157,25 +157,6 @@ func (s *Service) jobJSON(j *Job, coalesced bool) jobResponse {
 		resp.ResultURL = "/v1/jobs/" + snap.ID + "/result"
 	}
 	return resp
-}
-
-func effectiveMeasure(m scanpower.MeasureBackend) scanpower.MeasureBackend {
-	if m == "" {
-		return scanpower.MeasurePacked
-	}
-	return m
-}
-
-func validMeasure(m string) bool {
-	if m == "" {
-		return true
-	}
-	for _, b := range scanpower.MeasureBackends() {
-		if scanpower.MeasureBackend(m) == b {
-			return true
-		}
-	}
-	return false
 }
 
 // resolveCircuit turns a Validate-clean request into a library-mapped
@@ -267,8 +248,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	j, coalesced, err := s.SubmitActivityTraced(c, scanpower.MeasureBackend(req.Measure),
-		time.Duration(req.TimeoutMS)*time.Millisecond, prof, tc)
+	j, coalesced, err := s.SubmitActivityTraced(c, time.Duration(req.TimeoutMS)*time.Millisecond, prof, tc)
 	if err != nil {
 		var serr *SubmitError
 		if errors.As(err, &serr) {

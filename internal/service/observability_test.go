@@ -294,7 +294,7 @@ func TestLoopGuardWinsOverTraceHeader(t *testing.T) {
 	}
 	for i, tcase := range cases {
 		b, _ := json.Marshal(map[string]any{
-			"bench": s27Bench, "name": nameDead, "measure": []string{"packed", "fast", "dense"}[i], "wait": true,
+			"bench": s27Bench, "name": nameDead, "timeout_ms": 60000 + 1000*i, "wait": true,
 		})
 		req, err := http.NewRequest(http.MethodPost, urlA+"/v1/jobs", bytes.NewReader(b))
 		if err != nil {

@@ -152,17 +152,29 @@ type Options struct {
 	TraceCapacity int
 }
 
+// measureName is the measurement backend every job reports and every
+// store entry is keyed under. The v1 API still accepts "fast" and "dense",
+// but they name bit-identical kernels and all run the packed one, so the
+// name keys nothing: all three coalesce onto one job and share one stored
+// result.
+const measureName = "packed"
+
 // jobKey identifies coalesceable submissions: the frozen circuit's
 // structural fingerprint plus every override that changes what the job
 // computes or how long it may run.
 type jobKey struct {
 	fp        uint64
-	measure   scanpower.MeasureBackend
 	timeoutMS int64
 	// activity is the switching-activity profile hash (0 = no profile):
 	// an activity annotation adds columns to the result, so annotated and
 	// plain submits of the same circuit must not coalesce.
 	activity uint64
+}
+
+// storeKey is the result-store key of the job's result: timeouts change
+// how long a job may run, never its bytes, so they are not part of it.
+func (k jobKey) storeKey() store.Key {
+	return store.Key{Fingerprint: k.fp, Measure: measureName, Activity: k.activity}
 }
 
 // Job is one queued experiment. All mutable fields are guarded by the
@@ -171,7 +183,6 @@ type jobKey struct {
 type Job struct {
 	ID      string
 	Circuit string
-	Measure scanpower.MeasureBackend
 	Timeout time.Duration
 
 	key      jobKey
@@ -205,7 +216,6 @@ type Snapshot struct {
 	ID       string
 	TraceID  string
 	Circuit  string
-	Measure  scanpower.MeasureBackend
 	Timeout  time.Duration
 	State    JobState
 	Err      error
@@ -225,16 +235,16 @@ type Service struct {
 	reg  *telemetry.Registry
 	run  Runner
 
-	node    string // display name: opts.Node, else opts.Self, else "local"
+	node string // display name: opts.Node, else opts.Self, else "local"
 	// idPrefix is "job-" for a standalone daemon; cluster members fold a
 	// hash of their own URL in ("job-<8 hex>-") so job IDs are unique
 	// across the cluster — a forwarding node must be able to tell a
 	// peer's job from a same-numbered local one when resolving traces.
 	idPrefix string
 	log      *slog.Logger
-	started time.Time
-	build   telemetry.BuildInfo
-	traces  *telemetry.TraceStore
+	started  time.Time
+	build    telemetry.BuildInfo
+	traces   *telemetry.TraceStore
 
 	baseCtx  context.Context
 	baseStop context.CancelFunc
@@ -379,8 +389,8 @@ var (
 // the job. The returned bool reports whether the submission was
 // coalesced. Rejections return a *SubmitError. The circuit must already
 // be library-mapped.
-func (s *Service) Submit(c *netlist.Circuit, measure scanpower.MeasureBackend, timeout time.Duration) (*Job, bool, error) {
-	return s.SubmitActivityTraced(c, measure, timeout, nil,
+func (s *Service) Submit(c *netlist.Circuit, timeout time.Duration) (*Job, bool, error) {
+	return s.SubmitActivityTraced(c, timeout, nil,
 		telemetry.TraceContext{TraceID: telemetry.NewTraceID()})
 }
 
@@ -389,8 +399,8 @@ func (s *Service) Submit(c *netlist.Circuit, measure scanpower.MeasureBackend, t
 // tc.SpanID), and its segment is retained for GET /v1/jobs/{id}/trace.
 // A coalesced submit attaches to the existing job and keeps that job's
 // original trace.
-func (s *Service) SubmitTraced(c *netlist.Circuit, measure scanpower.MeasureBackend, timeout time.Duration, tc telemetry.TraceContext) (*Job, bool, error) {
-	return s.SubmitActivityTraced(c, measure, timeout, nil, tc)
+func (s *Service) SubmitTraced(c *netlist.Circuit, timeout time.Duration, tc telemetry.TraceContext) (*Job, bool, error) {
+	return s.SubmitActivityTraced(c, timeout, nil, tc)
 }
 
 // SubmitActivityTraced is SubmitTraced with an optional switching-activity
@@ -398,23 +408,14 @@ func (s *Service) SubmitTraced(c *netlist.Circuit, measure scanpower.MeasureBack
 // so annotated jobs coalesce with (and warm-start from) only identically
 // annotated ones; nil behaves exactly like SubmitTraced, keying and
 // storing under the pre-activity key.
-func (s *Service) SubmitActivityTraced(c *netlist.Circuit, measure scanpower.MeasureBackend, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
-	if measure == "" {
-		// Canonicalize to the server default so "no preference" and an
-		// explicit default coalesce onto the same job.
-		measure = s.opts.Cfg.Measure
-		if measure == "" {
-			measure = scanpower.MeasurePacked
-		}
-	}
+func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
 	if timeout <= 0 {
 		timeout = s.opts.DefaultTimeout
 	}
 	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
 		timeout = s.opts.MaxTimeout
 	}
-	key := jobKey{fp: c.Fingerprint(), measure: measure,
-		timeoutMS: timeout.Milliseconds(), activity: prof.Hash()}
+	key := jobKey{fp: c.Fingerprint(), timeoutMS: timeout.Milliseconds(), activity: prof.Hash()}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,8 +432,7 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, measure scanpower.Mea
 		// The byKey miss above may be stale afterwards, so re-check before
 		// inserting — a racing identical submit coalesces as usual.
 		s.mu.Unlock()
-		wire, _, hit := s.store.Get(store.Key{
-			Fingerprint: key.fp, Measure: string(measure), Activity: key.activity})
+		wire, _, hit := s.store.Get(key.storeKey())
 		s.mu.Lock()
 		if s.draining || s.stopped {
 			return nil, false, errDraining
@@ -442,7 +442,7 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, measure scanpower.Mea
 			return j, true, nil
 		}
 		if hit {
-			if j, ok := s.storedJobLocked(c, measure, timeout, key, wire, tc); ok {
+			if j, ok := s.storedJobLocked(c, timeout, key, wire, tc); ok {
 				s.storeHits.Inc()
 				s.log.Info("job served from store",
 					"job_id", j.ID, "trace_id", j.traceID, "circuit", j.Circuit)
@@ -465,7 +465,6 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, measure scanpower.Mea
 	j := &Job{
 		ID:       s.idPrefix + strconv.FormatInt(s.seq, 10),
 		Circuit:  c.Name,
-		Measure:  measure,
 		Timeout:  timeout,
 		key:      key,
 		circ:     c,
@@ -493,8 +492,7 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, measure scanpower.Mea
 	s.evictLocked()
 	s.log.Info("job admitted",
 		"job_id", j.ID, "trace_id", j.traceID,
-		"circuit", j.Circuit, "measure", string(j.Measure),
-		"timeout_ms", j.Timeout.Milliseconds())
+		"circuit", j.Circuit, "timeout_ms", j.Timeout.Milliseconds())
 	return j, false, nil
 }
 
@@ -510,7 +508,7 @@ func (s *Service) attachTraceLocked(j *Job, tc telemetry.TraceContext) {
 	j.spans = telemetry.NewSpanBuilder(tc.TraceID, s.node)
 	j.spans.SetJobID(j.ID)
 	j.rootSpan = j.spans.StartSpan(tc.SpanID, "job", map[string]any{
-		"circuit": j.Circuit, "measure": string(effectiveMeasure(j.Measure)),
+		"circuit": j.Circuit, "measure": measureName,
 	})
 	j.quSpan = j.rootSpan.Start("queue", nil)
 	s.traces.Add(j.spans)
@@ -524,7 +522,7 @@ func (s *Service) attachTraceLocked(j *Job, tc telemetry.TraceContext) {
 // ok=false if the stored bytes do not decode as a Comparison — the
 // checksum guards integrity, not decodability, so this is a degenerate
 // case treated as a miss.
-func (s *Service) storedJobLocked(c *netlist.Circuit, measure scanpower.MeasureBackend, timeout time.Duration, key jobKey, wire []byte, tc telemetry.TraceContext) (*Job, bool) {
+func (s *Service) storedJobLocked(c *netlist.Circuit, timeout time.Duration, key jobKey, wire []byte, tc telemetry.TraceContext) (*Job, bool) {
 	var cmp scanpower.Comparison
 	if err := json.Unmarshal(wire, &cmp); err != nil {
 		return nil, false
@@ -534,7 +532,6 @@ func (s *Service) storedJobLocked(c *netlist.Circuit, measure scanpower.MeasureB
 	j := &Job{
 		ID:       s.idPrefix + strconv.FormatInt(s.seq, 10),
 		Circuit:  c.Name,
-		Measure:  measure,
 		Timeout:  timeout,
 		key:      key,
 		circ:     c,
@@ -559,7 +556,7 @@ func (s *Service) storedJobLocked(c *netlist.Circuit, measure scanpower.MeasureB
 	j.spans = telemetry.NewSpanBuilder(tc.TraceID, s.node)
 	j.spans.SetJobID(j.ID)
 	root := j.spans.StartSpan(tc.SpanID, "job", map[string]any{
-		"circuit": j.Circuit, "measure": string(effectiveMeasure(j.Measure)),
+		"circuit": j.Circuit, "measure": measureName,
 	})
 	hit := root.Start("store-hit", nil)
 	hit.End(map[string]any{"bytes": len(wire)})
@@ -607,9 +604,9 @@ func (s *Service) Snapshot(j *Job) Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Snapshot{
-		ID: j.ID, TraceID: j.traceID, Circuit: j.Circuit, Measure: j.Measure,
-		Timeout: j.Timeout, State: j.state, Err: j.err, Result: j.result,
-		Wire: j.wire, Created: j.created, Started: j.started, Finished: j.finished,
+		ID: j.ID, TraceID: j.traceID, Circuit: j.Circuit, Timeout: j.Timeout,
+		State: j.state, Err: j.err, Result: j.result, Wire: j.wire,
+		Created: j.created, Started: j.started, Finished: j.finished,
 	}
 }
 
@@ -725,7 +722,6 @@ func (s *Service) runJob(j *Job) {
 	s.log.Debug("job running", "job_id", j.ID, "trace_id", j.traceID, "circuit", j.Circuit)
 
 	cfg := s.opts.Cfg
-	cfg.Measure = j.Measure
 	cfg.Activity = j.activity
 	cmp, err := s.run(j.ctx, j.circ, cfg)
 
@@ -735,10 +731,8 @@ func (s *Service) runJob(j *Job) {
 	var wire []byte
 	if err == nil {
 		if wire, err = json.Marshal(cmp); err == nil && s.store != nil {
-			key := store.Key{Fingerprint: j.key.fp, Measure: string(j.Measure),
-				Activity: j.key.activity}
 			meta := store.Meta{Circuit: j.Circuit, Elapsed: time.Since(j.started)}
-			if perr := s.store.Put(key, meta, wire); perr == nil {
+			if perr := s.store.Put(j.key.storeKey(), meta, wire); perr == nil {
 				s.storePuts.Inc()
 			}
 		}

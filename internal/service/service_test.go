@@ -266,7 +266,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// TestCoalescing checks identical submissions attach to one job.
+// TestCoalescing checks identical submissions attach to one job: the
+// measure name keys nothing (every job runs the packed kernel), while a
+// different deadline is a different job.
 func TestCoalescing(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
@@ -286,10 +288,19 @@ func TestCoalescing(t *testing.T) {
 	if second["coalesced"] != true || second["id"] != first["id"] {
 		t.Fatalf("second submit not coalesced onto %v: %v", first["id"], second)
 	}
-	// A different backend is a different job.
-	code, _, third := postJob(t, srv.URL, map[string]any{"circuit": "s344", "measure": "dense"})
+	// Another backend name coalesces onto the default job, which still
+	// reports the one kernel it runs.
+	code, _, dense := postJob(t, srv.URL, map[string]any{"circuit": "s344", "measure": "dense"})
+	if code != http.StatusOK || dense["coalesced"] != true || dense["id"] != first["id"] {
+		t.Fatalf("dense submit not coalesced onto %v: status %d (%v)", first["id"], code, dense)
+	}
+	if dense["measure"] != "packed" || first["measure"] != "packed" {
+		t.Errorf("job measure = %v / %v, want packed", first["measure"], dense["measure"])
+	}
+	// A different deadline is a different job.
+	code, _, third := postJob(t, srv.URL, map[string]any{"circuit": "s344", "timeout_ms": 60000})
 	if code != http.StatusAccepted || third["id"] == first["id"] {
-		t.Fatalf("distinct-backend submit coalesced: status %d (%v)", code, third)
+		t.Fatalf("distinct-timeout submit coalesced: status %d (%v)", code, third)
 	}
 	close(release)
 	pollState(t, srv.URL, first["id"].(string), func(st string) bool { return st == "done" })

@@ -16,22 +16,6 @@ const WideWords = 4
 // uint64 words per net carry 256 independent evaluations.
 const WideLanes = WideWords * 64
 
-// LaneWidths lists the selectable packed lane widths, narrowest first.
-func LaneWidths() []int { return []int{PackedLanes, WideLanes} }
-
-// ResolveLanes maps a configuration-level lane selection to a concrete
-// width: 0 picks the default (WideLanes), PackedLanes and WideLanes pass
-// through, and anything else is an error naming the valid widths.
-func ResolveLanes(n int) (int, error) {
-	switch n {
-	case 0:
-		return WideLanes, nil
-	case PackedLanes, WideLanes:
-		return n, nil
-	}
-	return 0, fmt.Errorf("sim: invalid lane width %d (want one of %v)", n, LaneWidths())
-}
-
 // opcode is the compiled form of a logic.GateType. The variable-arity
 // inverting pairs share the accumulation loop of their positive form and
 // differ only in a final complement.
@@ -65,10 +49,10 @@ var opcodeOf = [...]opcode{
 // levelized, flat structure-of-arrays form: one contiguous instruction
 // stream sorted by (topological level, GateID), with every gate's fanin
 // run flattened into a single shared index slice. All packed evaluators
-// — Packed/Packed3 at 64 lanes and Wide/Wide3 at 256 — execute this one
-// program through width-specialized copies of one evaluator loop, so a
-// cache line of the instruction stream serves whatever lane width the
-// caller picked. (The cores are specialized by hand rather than by Go
+// — Packed at 64 lanes, Wide and Wide3 at 256 — execute this one program
+// through width-specialized copies of one evaluator loop, so a cache line
+// of the instruction stream serves whatever lane width the caller
+// picked. (The cores are specialized by hand rather than by Go
 // generics: shape-dictionary method calls defeat inlining and measure
 // ~3x slower per word on the same stream.)
 //
@@ -168,20 +152,15 @@ func (p *Program) LevelRange(l int) (int, int) {
 	return int(p.levels[l]), end
 }
 
-// checkWords validates a caller-selected per-net word stride.
-func (p *Program) checkWords(ww int) {
-	if ww != 1 && ww != WideWords {
-		panic(fmt.Sprintf("sim: program for circuit %q: invalid lane words %d (want 1 or %d)", p.c.Name, ww, WideWords))
-	}
-}
-
 // Run evaluates the program in place over caller-owned flat lane words:
 // v holds ww uint64 words per net, indexed v[int(n)*ww : int(n)*ww+ww],
 // with every PI and pseudo-input group already set. Every gate-output
 // group is recomputed in instruction order. ww must be 1 (64 lanes) or
 // WideWords (256 lanes).
 func (p *Program) Run(v []uint64, ww int) {
-	p.checkWords(ww)
+	if ww != 1 && ww != WideWords {
+		panic(fmt.Sprintf("sim: program for circuit %q: invalid lane words %d (want 1 or %d)", p.c.Name, ww, WideWords))
+	}
 	if len(v) != p.c.NumNets()*ww {
 		panic(fmt.Sprintf("sim: program Run for circuit %q: state length %d, want %d nets x %d words = %d",
 			p.c.Name, len(v), p.c.NumNets(), ww, p.c.NumNets()*ww))
@@ -190,22 +169,6 @@ func (p *Program) Run(v []uint64, ww int) {
 		runProg1(p, v)
 	} else {
 		runProg4(p, v)
-	}
-}
-
-// Run3 is the dual-rail three-valued form of Run: v and x each hold ww
-// words per net in the normalized encoding (v&x == 0 lane-wise), and
-// every gate-output (v, x) group is recomputed in instruction order.
-func (p *Program) Run3(v, x []uint64, ww int) {
-	p.checkWords(ww)
-	if len(v) != p.c.NumNets()*ww || len(x) != p.c.NumNets()*ww {
-		panic(fmt.Sprintf("sim: program Run3 for circuit %q: state lengths v=%d x=%d, want %d nets x %d words = %d",
-			p.c.Name, len(v), len(x), p.c.NumNets(), ww, p.c.NumNets()*ww))
-	}
-	if ww == 1 {
-		runProg3w1(p, v, x)
-	} else {
-		runProg3w4(p, v, x)
 	}
 }
 
@@ -242,10 +205,10 @@ func (w w4) xor(o w4) w4 { return w4{w.a ^ o.a, w.b ^ o.b, w.c ^ o.c, w.d ^ o.d}
 func (w w4) andNot(o w4) w4 { return w4{w.a &^ o.a, w.b &^ o.b, w.c &^ o.c, w.d &^ o.d} }
 
 // runProg1 is the two-valued evaluator core at one word per net. The
-// four cores below are width-specialized by hand from one reference
+// three cores below are width-specialized by hand from one reference
 // semantics (logic.EvalBool / logic.Eval per lane); the differential and
-// fuzz tests pin the 64- and 256-lane cores bit-identical to each other
-// and to the scalar simulator, which is what licenses the duplication.
+// fuzz tests pin every core bit-identical to the scalar simulator, which
+// is what licenses the duplication.
 func runProg1(p *Program, v []uint64) {
 	fins := p.fins
 	for ii, op := range p.ops {
@@ -325,83 +288,11 @@ func runProg4(p *Program, v []uint64) {
 	}
 }
 
-// runProg3w1 is the three-valued evaluator core at one word per rail per
-// net: the dual-rail normalized-encoding twin of runProg1 with the
+// runProg3w4 is the three-valued evaluator core at four words per rail
+// per net: the dual-rail normalized-encoding twin of runProg4 with the
 // optimistic rules of logic.Eval (controlling values force outputs
 // through X side inputs; MUX2 with an X select resolves where both data
 // inputs agree).
-func runProg3w1(p *Program, v, x []uint64) {
-	fins := p.fins
-	for ii, op := range p.ops {
-		s, e := int(p.finStart[ii]), int(p.finStart[ii+1])
-		var ov, ox uint64
-		switch op {
-		case opBuf:
-			ov, ox = v[fins[s]], x[fins[s]]
-		case opNot:
-			ox = x[fins[s]]
-			ov = ^v[fins[s]] &^ ox
-		case opAnd, opNand:
-			// one: every input known 1. zero: some input known 0.
-			one := v[fins[s]]
-			zero := ^x[fins[s]] &^ one
-			for j := s + 1; j < e; j++ {
-				iv, ix := v[fins[j]], x[fins[j]]
-				one &= iv
-				zero |= ^ix &^ iv
-			}
-			if op == opAnd {
-				ov = one
-			} else {
-				ov = zero
-			}
-			ox = ^(one | zero)
-		case opOr, opNor:
-			// one: some input known 1. zero: every input known 0.
-			one := v[fins[s]]
-			zero := ^x[fins[s]] &^ one
-			for j := s + 1; j < e; j++ {
-				iv, ix := v[fins[j]], x[fins[j]]
-				one |= iv
-				zero &= ^ix &^ iv
-			}
-			if op == opOr {
-				ov = one
-			} else {
-				ov = zero
-			}
-			ox = ^(one | zero)
-		case opXor, opXnor:
-			// Known only where every input is known (no optimistic rule).
-			known := ^x[fins[s]]
-			sum := v[fins[s]]
-			for j := s + 1; j < e; j++ {
-				known &= ^x[fins[j]]
-				sum ^= v[fins[j]]
-			}
-			if op == opXor {
-				ov = sum & known
-			} else {
-				ov = ^sum & known
-			}
-			ox = ^known
-		case opMux2:
-			d0v, d0x := v[fins[s]], x[fins[s]]
-			d1v, d1x := v[fins[s+1]], x[fins[s+1]]
-			sv, sx := v[fins[s+2]], x[fins[s+2]]
-			m1 := ^sx & sv  // select known 1: pass d1
-			m0 := ^sx &^ sv // select known 0: pass d0
-			// Select X: still binary where both data inputs agree.
-			agree := ^d0x & ^d1x &^ (d0v ^ d1v)
-			ov = m1&d1v | m0&d0v | sx&agree&d0v
-			ox = m1&d1x | m0&d0x | sx&^agree
-		}
-		v[p.outs[ii]] = ov
-		x[p.outs[ii]] = ox
-	}
-}
-
-// runProg3w4 is runProg3w1 at four words per rail per net.
 func runProg3w4(p *Program, v, x []uint64) {
 	fins := p.fins
 	for ii, op := range p.ops {

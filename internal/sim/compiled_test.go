@@ -137,67 +137,9 @@ func TestWideMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWide3MatchesPacked3 pins word-level identity of the wide
-// three-valued evaluator against Packed3 (itself pinned against the
-// scalar Eval3): every 64-lane slice of a 256-lane evaluation must equal
-// the packed evaluation of those lanes.
-func TestWide3MatchesPacked3(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 20; iter++ {
-		c := randomCircuit3(rng)
-		prog := Compile(c)
-		w3 := NewWide3Program(prog)
-		p3 := NewPacked3Program(prog)
-		nNets := c.NumNets()
-		v := make([]uint64, nNets*WideWords)
-		x := make([]uint64, nNets*WideWords)
-		for _, n := range c.CombInputs() {
-			for k := 0; k < WideWords; k++ {
-				xv := rng.Uint64()
-				v[int(n)*WideWords+k] = rng.Uint64() &^ xv
-				x[int(n)*WideWords+k] = xv
-			}
-		}
-		// Narrow reference: evaluate each 64-lane slice with Packed3.
-		for k := 0; k < WideWords; k++ {
-			nv := make([]uint64, nNets)
-			nx := make([]uint64, nNets)
-			for n := 0; n < nNets; n++ {
-				nv[n] = v[n*WideWords+k]
-				nx[n] = x[n*WideWords+k]
-			}
-			w3.EvalNets(v, x) // idempotent over inputs; run before compare below
-			p3.EvalNets(nv, nx)
-			for n := 0; n < nNets; n++ {
-				if v[n*WideWords+k] != nv[n] || x[n*WideWords+k] != nx[n] {
-					t.Fatalf("%s: word %d net %s: wide (%x,%x) vs packed (%x,%x)", c.Name, k,
-						c.Nets[n].Name, v[n*WideWords+k], x[n*WideWords+k], nv[n], nx[n])
-				}
-			}
-		}
-	}
-}
-
-// TestLaneWidthResolution pins the selectable-backend contract.
-func TestLaneWidthResolution(t *testing.T) {
-	if got, err := ResolveLanes(0); err != nil || got != WideLanes {
-		t.Fatalf("ResolveLanes(0) = %d, %v; want default %d", got, err, WideLanes)
-	}
-	for _, w := range LaneWidths() {
-		if got, err := ResolveLanes(w); err != nil || got != w {
-			t.Fatalf("ResolveLanes(%d) = %d, %v", w, got, err)
-		}
-	}
-	for _, bad := range []int{-1, 1, 63, 128, 512} {
-		if _, err := ResolveLanes(bad); err == nil {
-			t.Fatalf("ResolveLanes(%d) accepted", bad)
-		}
-	}
-}
-
 // TestPanicsNameCircuitAndLengths pins the misuse diagnostics: frozen
 // and length panics must name the circuit and the offending vs expected
-// counts, across all four evaluators.
+// counts, across every evaluator.
 func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	mustPanic := func(name string, want []string, fn func()) {
 		t.Helper()
@@ -225,7 +167,6 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	unfrozen.AddPI("a")
 	unfrozen.AddGate(logic.Not, "o", "a")
 	mustPanic("NewPacked unfrozen", []string{`"never-frozen"`}, func() { NewPacked(unfrozen) })
-	mustPanic("NewPacked3 unfrozen", []string{`"never-frozen"`}, func() { NewPacked3(unfrozen) })
 	mustPanic("NewWide unfrozen", []string{`"never-frozen"`}, func() { NewWide(unfrozen) })
 	mustPanic("NewWide3 unfrozen", []string{`"never-frozen"`}, func() { NewWide3(unfrozen) })
 	mustPanic("Compile unfrozen", []string{`"never-frozen"`}, func() { Compile(unfrozen) })
@@ -244,9 +185,6 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	mustPanic("Packed.Eval ppi", []string{`"tiny2"`, "got 3", "want 1"}, func() {
 		NewPacked(c).Eval(make([]uint64, 2), make([]uint64, 3))
 	})
-	mustPanic("Packed3.EvalNets", []string{`"tiny2"`, "v=1", "want 4"}, func() {
-		NewPacked3(c).EvalNets(make([]uint64, 1), make([]uint64, c.NumNets()))
-	})
 	mustPanic("Wide.Eval", []string{`"tiny2"`, "got 2", "want 2 PIs x 4 = 8"}, func() {
 		NewWide(c).Eval(make([]uint64, 2), make([]uint64, WideWords))
 	})
@@ -259,14 +197,11 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	mustPanic("Program.Run bad length", []string{`"tiny2"`, "state length 3"}, func() {
 		Compile(c).Run(make([]uint64, 3), 1)
 	})
-	mustPanic("Program.Run3 bad length", []string{`"tiny2"`, "v=16 x=3"}, func() {
-		Compile(c).Run3(make([]uint64, 16), make([]uint64, 3), WideWords)
-	})
 }
 
-// FuzzWideEquivalence cross-checks the three backends — scalar, 64-lane
-// packed, 256-lane wide — on fuzzer-shaped random circuits, both
-// two-valued and three-valued, lane by lane on every net. Wired into
+// FuzzWideEquivalence cross-checks the evaluators — scalar, 64-lane
+// packed, 256-lane wide and wide3 — on fuzzer-shaped random circuits,
+// both two-valued and three-valued, lane by lane on every net. Wired into
 // `make fuzz-equiv`.
 func FuzzWideEquivalence(f *testing.F) {
 	f.Add(int64(1))
@@ -324,7 +259,7 @@ func FuzzWideEquivalence(f *testing.F) {
 			}
 		}
 
-		// Three-valued: wide vs packed word-identity and scalar spot check.
+		// Three-valued: wide3 vs scalar on a random lane of every net.
 		v := make([]uint64, nNets*WideWords)
 		x := make([]uint64, nNets*WideWords)
 		for _, n := range c.CombInputs() {
@@ -334,39 +269,25 @@ func FuzzWideEquivalence(f *testing.F) {
 				x[int(n)*WideWords+k] = xv
 			}
 		}
-		nv := make([]uint64, nNets)
-		nx := make([]uint64, nNets)
-		for n := 0; n < nNets; n++ {
-			nv[n] = v[n*WideWords]
-			nx[n] = x[n*WideWords]
-		}
 		NewWide3Program(prog).EvalNets(v, x)
-		NewPacked3Program(prog).EvalNets(nv, nx)
-		for n := 0; n < nNets; n++ {
-			if nv[n] != v[n*WideWords] || nx[n] != x[n*WideWords] {
-				t.Fatalf("net %s: packed3 (%x,%x) vs wide3 word 0 (%x,%x)",
-					c.Nets[n].Name, nv[n], nx[n], v[n*WideWords], x[n*WideWords])
-			}
+		lane := int(rng.Int31n(WideLanes))
+		at := func(n netlist.NetID) logic.Value {
+			g := int(n)*WideWords + lane>>6
+			return UnpackValue(v[g], x[g], lane&63)
 		}
 		piV := make([]logic.Value, len(c.PIs))
 		ppiV := make([]logic.Value, c.NumFFs())
-		lane := int(rng.Int31n(PackedLanes))
 		for i, n := range c.PIs {
-			piV[i] = UnpackValue(nvIn(nv, nx, n, lane))
+			piV[i] = at(n)
 		}
 		for i, ff := range c.FFs {
-			ppiV[i] = UnpackValue(nvIn(nv, nx, ff.Q, lane))
+			ppiV[i] = at(ff.Q)
 		}
 		st3 := ss.Eval3(piV, ppiV)
 		for n := 0; n < nNets; n++ {
-			if got := UnpackValue(nv[n], nx[n], lane); got != st3[n] {
-				t.Fatalf("net %s lane %d: packed3 %v vs scalar %v", c.Nets[n].Name, lane, got, st3[n])
+			if got := at(netlist.NetID(n)); got != st3[n] {
+				t.Fatalf("net %s lane %d: wide3 %v vs scalar %v", c.Nets[n].Name, lane, got, st3[n])
 			}
 		}
 	})
-}
-
-// nvIn adapts (slice, slice, net, lane) to UnpackValue's word arguments.
-func nvIn(v, x []uint64, n netlist.NetID, lane int) (uint64, uint64, int) {
-	return v[n], x[n], lane
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -73,9 +74,21 @@ func (w *Wide) Eval(pi, ppi []uint64) []uint64 {
 	return v
 }
 
-// Wide3 is the 256-lane three-valued twin of Packed3: dual-rail
-// normalized encoding with WideWords words per net on each rail,
-// executing the shared compiled program. It holds no lane state, so one
+// Wide3 evaluates the combinational core of a frozen circuit in
+// three-valued logic, 256 lanes at a time, using a dual-rail encoding:
+// net n carries WideWords words on each of two rails, v and x. Bit t of
+// the x group set means the net is X (unknown) in lane t; otherwise bit t
+// of the v group is its binary value. The encoding is normalized — v
+// bits are always clear where the matching x bit is set — and every gate
+// operation preserves that invariant.
+//
+// Bit t of every output (v, x) pair equals exactly what logic.Eval would
+// compute for the scalar three-valued inputs at bit t, including the
+// optimistic rules (a controlling value forces the output through X side
+// inputs; MUX2 with an X select still resolves when both data inputs
+// agree on a binary value). The packed minimum-leakage fill rides on this
+// to evaluate 256 candidate completions per pass of the compiled program
+// while free pseudo-inputs stay X. It holds no lane state, so one
 // instance may be shared across goroutines.
 type Wide3 struct {
 	p *Program
@@ -114,4 +127,33 @@ func (w *Wide3) EvalNets(v, x []uint64) {
 			c.Name, len(v), len(x), c.NumNets(), WideWords, nw))
 	}
 	runProg3w4(w.p, v, x)
+}
+
+// PackValue sets lane t of the (v, x) pair for one net to the three-valued
+// value val, keeping the encoding normalized.
+func PackValue(v, x *uint64, t int, val logic.Value) {
+	bit := uint64(1) << uint(t)
+	switch val {
+	case logic.One:
+		*v |= bit
+		*x &^= bit
+	case logic.Zero:
+		*v &^= bit
+		*x &^= bit
+	default:
+		*v &^= bit
+		*x |= bit
+	}
+}
+
+// UnpackValue reads lane t of a (v, x) pair back as a three-valued value.
+func UnpackValue(v, x uint64, t int) logic.Value {
+	bit := uint64(1) << uint(t)
+	if x&bit != 0 {
+		return logic.X
+	}
+	if v&bit != 0 {
+		return logic.One
+	}
+	return logic.Zero
 }

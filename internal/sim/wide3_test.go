@@ -53,40 +53,46 @@ func randomCircuit3(rng *rand.Rand) *netlist.Circuit {
 	return c
 }
 
-// TestPacked3MatchesEval3 drives random circuits with 64 random
+// TestWide3MatchesEval3 drives random circuits with 256 random
 // three-valued input lanes and requires every lane of every net to match
-// the scalar three-valued simulator exactly.
-func TestPacked3MatchesEval3(t *testing.T) {
+// the scalar three-valued simulator exactly, in the normalized encoding.
+func TestWide3MatchesEval3(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 60; iter++ {
 		c := randomCircuit3(rng)
-		p3 := NewPacked3(c)
+		w3 := NewWide3(c)
 		s := New(c)
 		nNets := c.NumNets()
-		v := make([]uint64, nNets)
-		x := make([]uint64, nNets)
-		lanes := make([][]logic.Value, PackedLanes)
+		v := make([]uint64, nNets*WideWords)
+		x := make([]uint64, nNets*WideWords)
+		lanes := make([][]logic.Value, WideLanes)
 		pi := make([]logic.Value, len(c.PIs))
 		ppi := make([]logic.Value, c.NumFFs())
-		for tl := 0; tl < PackedLanes; tl++ {
+		for tl := 0; tl < WideLanes; tl++ {
+			wd, bit := tl>>6, tl&63
 			for i, n := range c.PIs {
 				pi[i] = logic.Value(rng.Intn(3))
-				PackValue(&v[n], &x[n], tl, pi[i])
+				g := int(n)*WideWords + wd
+				PackValue(&v[g], &x[g], bit, pi[i])
 			}
 			for i, ff := range c.FFs {
 				ppi[i] = logic.Value(rng.Intn(3))
-				PackValue(&v[ff.Q], &x[ff.Q], tl, ppi[i])
+				g := int(ff.Q)*WideWords + wd
+				PackValue(&v[g], &x[g], bit, ppi[i])
 			}
 			lanes[tl] = append([]logic.Value(nil), s.Eval3(pi, ppi)...)
 		}
-		p3.EvalNets(v, x)
+		w3.EvalNets(v, x)
 		for n := 0; n < nNets; n++ {
-			if v[n]&x[n] != 0 {
-				t.Fatalf("iter %d: net %s not normalized: v=%x x=%x",
-					iter, c.Nets[n].Name, v[n], x[n])
+			for k := 0; k < WideWords; k++ {
+				if g := n*WideWords + k; v[g]&x[g] != 0 {
+					t.Fatalf("iter %d: net %s word %d not normalized: v=%x x=%x",
+						iter, c.Nets[n].Name, k, v[g], x[g])
+				}
 			}
-			for tl := 0; tl < PackedLanes; tl++ {
-				got := UnpackValue(v[n], x[n], tl)
+			for tl := 0; tl < WideLanes; tl++ {
+				g := n*WideWords + tl>>6
+				got := UnpackValue(v[g], x[g], tl&63)
 				if want := lanes[tl][n]; got != want {
 					t.Fatalf("iter %d: net %s lane %d = %v, want %v",
 						iter, c.Nets[n].Name, tl, got, want)
@@ -96,50 +102,39 @@ func TestPacked3MatchesEval3(t *testing.T) {
 	}
 }
 
-// TestPacked3BinaryLanesMatchPacked pins the degenerate case: with no X
-// anywhere the three-valued packed evaluator must agree with the binary
-// packed simulator word for word.
-func TestPacked3BinaryLanesMatchPacked(t *testing.T) {
+// TestWide3BinaryLanesMatchWide pins the degenerate case: with no X
+// anywhere the three-valued evaluator must agree with the binary wide
+// simulator word for word.
+func TestWide3BinaryLanesMatchWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := randomCircuit3(rng)
-	p3 := NewPacked3(c)
-	p2 := NewPacked(c)
+	w3 := NewWide3(c)
+	w2 := NewWide(c)
 	nNets := c.NumNets()
-	v := make([]uint64, nNets)
-	x := make([]uint64, nNets)
-	piW := make([]uint64, len(c.PIs))
-	ppiW := make([]uint64, c.NumFFs())
+	v := make([]uint64, nNets*WideWords)
+	x := make([]uint64, nNets*WideWords)
+	piW := make([]uint64, len(c.PIs)*WideWords)
+	ppiW := make([]uint64, c.NumFFs()*WideWords)
 	for i, n := range c.PIs {
-		piW[i] = rng.Uint64()
-		v[n] = piW[i]
+		for k := 0; k < WideWords; k++ {
+			piW[i*WideWords+k] = rng.Uint64()
+			v[int(n)*WideWords+k] = piW[i*WideWords+k]
+		}
 	}
 	for i, ff := range c.FFs {
-		ppiW[i] = rng.Uint64()
-		v[ff.Q] = ppiW[i]
-	}
-	words := p2.Eval(piW, ppiW)
-	p3.EvalNets(v, x)
-	for n := 0; n < nNets; n++ {
-		if x[n] != 0 {
-			t.Fatalf("net %s turned X with binary inputs", c.Nets[n].Name)
-		}
-		if v[n] != words[n] {
-			t.Fatalf("net %s: packed3 %x vs packed %x", c.Nets[n].Name, v[n], words[n])
+		for k := 0; k < WideWords; k++ {
+			ppiW[i*WideWords+k] = rng.Uint64()
+			v[int(ff.Q)*WideWords+k] = ppiW[i*WideWords+k]
 		}
 	}
-}
-
-func TestPacked3PanicsOnBadInput(t *testing.T) {
-	c := netlist.New("tiny")
-	c.AddPI("a")
-	c.AddGate(logic.Not, "o", "a")
-	c.MarkPO("o")
-	c.MustFreeze()
-	p3 := NewPacked3(c)
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch not rejected")
+	words := w2.Eval(piW, ppiW)
+	w3.EvalNets(v, x)
+	for i := range v {
+		if x[i] != 0 {
+			t.Fatalf("net %s turned X with binary inputs", c.Nets[i/WideWords].Name)
 		}
-	}()
-	p3.EvalNets(make([]uint64, 1), make([]uint64, c.NumNets()))
+		if v[i] != words[i] {
+			t.Fatalf("net %s word %d: wide3 %x vs wide %x", c.Nets[i/WideWords].Name, i%WideWords, v[i], words[i])
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package store is the disk-backed, content-addressed result store
 // behind scanpowerd's warm-start path: completed job results — the
 // scanpower/comparison/v1 wire bytes plus a little run metadata — keyed
-// by the circuit's structural fingerprint and the measurement backend,
+// by the circuit's structural fingerprint and switching-activity profile,
 // one file per entry.
 //
 // The store gives a restarted daemon its memory back: a job whose result
@@ -47,10 +47,10 @@ const EntrySchemaV1 = "scanpower/store-entry/v1"
 type Key struct {
 	// Fingerprint is netlist.Circuit.Fingerprint() of the frozen circuit.
 	Fingerprint uint64
-	// Measure is the measurement backend name ("packed", "fast",
-	// "dense"). Callers canonicalize "" to the effective default before
-	// building a Key so "no preference" and an explicit default share an
-	// entry.
+	// Measure is the measurement backend name in the entry's file name.
+	// scanpowerd runs one kernel and always stores under "packed", the
+	// name earlier daemons gave their default entries, so their stores
+	// stay warm.
 	Measure string
 	// Activity is the job's switching-activity profile hash
 	// (power.ActivityProfile.Hash), 0 when the job carries none. An

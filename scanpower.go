@@ -60,92 +60,18 @@ import (
 	"repro/internal/timing"
 )
 
-// MeasureBackend selects the scan-power measurement kernel used for the
-// three per-structure measurement stages.
-type MeasureBackend string
-
-const (
-	// MeasurePacked is the 64-way bit-parallel kernel
-	// (power.MeasureScanPacked) — the default, bit-identical to the serial
-	// kernels and typically an order of magnitude faster.
-	MeasurePacked MeasureBackend = "packed"
-	// MeasureFast is the event-driven serial kernel
-	// (power.MeasureScanFast).
-	MeasureFast MeasureBackend = "fast"
-	// MeasureDense is the full per-cycle re-evaluation kernel
-	// (power.MeasureScan) — the reference the others are tested against.
-	MeasureDense MeasureBackend = "dense"
-)
-
-// measure dispatches to the selected kernel; the zero value means
-// MeasurePacked so existing literal Configs keep working.
-func (b MeasureBackend) measure(ch scan.Runner, pats []scan.Pattern, cfg scan.ShiftConfig,
-	lm *leakage.Model, cm power.CapModel, opts power.MeasureOptions) (power.Report, error) {
-	switch b {
-	case "", MeasurePacked:
-		return power.MeasureScanPackedOpts(ch, pats, cfg, lm, cm, opts)
-	case MeasureFast:
-		return power.MeasureScanFastOpts(ch, pats, cfg, lm, cm, opts)
-	case MeasureDense:
-		return power.MeasureScanOpts(ch, pats, cfg, lm, cm, opts)
-	default:
-		return power.Report{}, fmt.Errorf("scanpower: unknown measure backend %q", b)
-	}
-}
-
-// MeasureBackends lists the valid Config.Measure values.
-func MeasureBackends() []MeasureBackend {
-	return []MeasureBackend{MeasurePacked, MeasureFast, MeasureDense}
-}
-
-// MCBackend selects the Monte-Carlo kernel backend used inside the
-// structure builds — the leakage-observability estimate and the
-// minimum-leakage don't-care fill. Both backends are bit-identical for
-// the same seeds (the packed kernels draw the scalar random stream and
-// fold in the scalar accumulation order), so like Config.Measure this is
-// purely a performance/debugging knob: Table I rows do not change with
-// it.
-type MCBackend string
-
-const (
-	// MCPacked runs both Monte-Carlo loops on the 64-way bit-parallel
-	// simulators across a worker pool — the default.
-	MCPacked MCBackend = "packed"
-	// MCScalar runs the serial reference kernels (one vector at a time).
-	MCScalar MCBackend = "scalar"
-)
-
-// MCBackends lists the valid Config.MC values.
-func MCBackends() []MCBackend {
-	return []MCBackend{MCPacked, MCScalar}
-}
-
 // Config bundles every model and tuning knob of the experiment. The zero
 // value is not usable; start from DefaultConfig.
+//
+// Every stage runs one kernel at 256 lanes: power.MeasureScanPacked,
+// obs.EstimatePacked and the packed don't-care fill. Their serial
+// references (power.MeasureScan, obs.EstimateObserved, the scalar fill)
+// are test oracles, not selectable backends.
 type Config struct {
 	// ATPG tunes pattern generation. Generate's effort is scaled down
 	// automatically for very large circuits unless ScaleATPG is false.
 	ATPG      atpg.Options
 	ScaleATPG bool
-	// Measure selects the scan-power measurement kernel; the zero value
-	// and MeasurePacked mean the bit-parallel kernel. All backends produce
-	// bit-identical Reports, so this is purely a performance/debugging
-	// knob.
-	Measure MeasureBackend
-	// MC selects the Monte-Carlo kernel backend of the structure builds;
-	// the zero value keeps whatever Proposed.MC / InputControl.MC say
-	// (which itself defaults to packed), a non-zero value overrides both.
-	// All backends produce bit-identical solutions.
-	MC MCBackend
-	// Lanes sets the batch width of every packed kernel in the experiment
-	// — scan-power measurement, the Monte-Carlo build loops, and ATPG's
-	// compaction fault simulation. The zero value keeps the per-component
-	// settings (ATPG.Lanes, Proposed.Lanes, InputControl.Lanes), which
-	// themselves default to sim.WideLanes = 256; a non-zero value
-	// overrides all of them. Like Measure and MC this is purely a
-	// throughput knob: every kernel is bit-identical at every supported
-	// width (64 or 256).
-	Lanes int
 	// Proposed and InputControl configure the two engineered structures.
 	Proposed     core.Options
 	InputControl core.Options
@@ -175,8 +101,6 @@ func DefaultConfig() Config {
 	return Config{
 		ATPG:         atpg.DefaultOptions(),
 		ScaleATPG:    true,
-		Measure:      MeasurePacked,
-		MC:           MCPacked,
 		Proposed:     prop,
 		InputControl: ic,
 		Leak:         leak,
@@ -294,13 +218,6 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 		Patterns:      len(res.Patterns),
 		FaultCoverage: res.Coverage(),
 	}
-	// mopts is the per-stage measurement options with the experiment's
-	// lane width applied.
-	mopts := func(stage string) power.MeasureOptions {
-		m := hooks.measureOptions(ctx, c.Name, stage)
-		m.Lanes = cfg.Lanes
-		return m
-	}
 	// stage runs one structure's build+measure under a guaranteed
 	// start/done pair: the done callback fires on the error paths too
 	// (with Failed set), so span accounting stays balanced however the
@@ -317,8 +234,8 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	// Traditional scan.
 	if err := stage(StageTraditional, func() error {
 		var err error
-		cmp.Traditional, err = cfg.Measure.measure(scan.New(c), res.Patterns, scan.Traditional(c),
-			cfg.Leak, cfg.Cap, mopts(StageTraditional))
+		cmp.Traditional, err = power.MeasureScanPackedOpts(scan.New(c), res.Patterns, scan.Traditional(c),
+			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageTraditional))
 		return err
 	}); err != nil {
 		return nil, err
@@ -329,20 +246,14 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err := stage(StageInputControl, func() error {
 		icOpts := cfg.InputControl
 		icOpts.Observe = hooks.coreObserver(c.Name, StageInputControl)
-		if cfg.MC != "" {
-			icOpts.MC = core.MCBackend(cfg.MC)
-		}
-		if cfg.Lanes != 0 {
-			icOpts.Lanes = cfg.Lanes
-		}
 		var err error
 		icSol, err = core.BuildContext(ctx, c, icOpts)
 		if err != nil {
 			return fmt.Errorf("scanpower: input-control build: %w", err)
 		}
 		cmp.InputControlStats = icSol.Stats
-		cmp.InputControl, err = cfg.Measure.measure(scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
-			cfg.Leak, cfg.Cap, mopts(StageInputControl))
+		cmp.InputControl, err = power.MeasureScanPackedOpts(scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
+			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageInputControl))
 		return err
 	}); err != nil {
 		return nil, err
@@ -353,20 +264,14 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err := stage(StageProposed, func() error {
 		propOpts := cfg.Proposed
 		propOpts.Observe = hooks.coreObserver(c.Name, StageProposed)
-		if cfg.MC != "" {
-			propOpts.MC = core.MCBackend(cfg.MC)
-		}
-		if cfg.Lanes != 0 {
-			propOpts.Lanes = cfg.Lanes
-		}
 		var err error
 		sol, err = core.BuildContext(ctx, c, propOpts)
 		if err != nil {
 			return fmt.Errorf("scanpower: proposed build: %w", err)
 		}
 		cmp.ProposedStats = sol.Stats
-		cmp.Proposed, err = cfg.Measure.measure(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
-			cfg.Leak, cfg.Cap, mopts(StageProposed))
+		cmp.Proposed, err = power.MeasureScanPackedOpts(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
+			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageProposed))
 		return err
 	}); err != nil {
 		return nil, err

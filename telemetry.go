@@ -33,7 +33,7 @@ const (
 	MetricATPGFaultSimLanes = "scanpower_atpg_faultsim_lanes_total"
 	// MetricMCLanes counts Monte-Carlo lanes (observability vectors plus
 	// fill trials) evaluated by the packed MC kernels inside the structure
-	// builds; the scalar MC backend leaves it 0.
+	// builds.
 	MetricMCLanes = "scanpower_mc_packed_lanes_total"
 )
 

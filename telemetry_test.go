@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -279,5 +280,49 @@ func TestMergeHooksAllFire(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("events = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestRecorderMCBatches: a run must surface the packed Monte-Carlo
+// kernels in telemetry — a live lane counter and
+// per-batch "mc-batch" spans tagged with their kind, nested under the
+// structure-build stages.
+func TestRecorderMCBatches(t *testing.T) {
+	_, reg, traceBuf := runWithRecorder(t, []string{"s344"}, 1)
+
+	snap := reg.Snapshot()
+	if snap[MetricMCLanes] <= 0 {
+		t.Errorf("metric %s = %v, want > 0", MetricMCLanes, snap[MetricMCLanes])
+	}
+
+	kinds := map[string]int{}
+	sc := bufio.NewScanner(bytes.NewReader(traceBuf.Bytes()))
+	for sc.Scan() {
+		var ev struct {
+			Name  string `json:"name"`
+			Attrs struct {
+				Kind  string `json:"kind"`
+				Lanes int    `json:"lanes"`
+			} `json:"attrs"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			continue
+		}
+		if ev.Name != "mc-batch" || ev.Attrs.Kind == "" {
+			continue
+		}
+		if ev.Attrs.Lanes < 1 || ev.Attrs.Lanes > sim.WideLanes {
+			t.Errorf("mc-batch span carries %d lanes", ev.Attrs.Lanes)
+		}
+		kinds[ev.Attrs.Kind]++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds["obs"] == 0 {
+		t.Error("no obs mc-batch spans in trace")
+	}
+	if kinds["fill"] == 0 {
+		t.Error("no fill mc-batch spans in trace")
 	}
 }
