@@ -90,18 +90,21 @@ obs-smoke:
 bench-cluster:
 	$(GO) run ./scripts/loadsmoke -out BENCH_$(DATE)_cluster.json
 
-# Short packed-vs-serial equivalence fuzz: random circuits through the
-# wide evaluators and the scalar simulator, random pattern sets and shift
-# configs through the packed and dense measurement kernels (bit-equal
-# reports), random flow shapes through the packed and scalar don't-care
-# fills (same completion, same rng end state), and random batches through
-# the packed and serial fault simulators. The seed corpora also run on
-# every plain `go test`.
+# Short equivalence fuzz of each fast path against its reference: random
+# circuits through the wide evaluators and the scalar simulator, random
+# pattern sets and shift configs through the packed and dense measurement
+# kernels (bit-equal reports), random flow shapes through the packed and
+# scalar don't-care fills (same completion, same rng end state), random
+# batches through the packed and serial fault simulators, and random
+# circuit profiles through the linear-time and original quadratic circuit
+# generators (same error, or same .bench text and fingerprint). The seed
+# corpora also run on every plain `go test`.
 fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzMCPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s
+	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s
 
 # ATPG pipeline benchmark: incremental event-driven PODEM + batched fault
 # dropping vs the preserved legacy baseline on s1423/s5378, plus the

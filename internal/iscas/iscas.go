@@ -18,7 +18,9 @@ package iscas
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/logic"
@@ -98,7 +100,8 @@ var gateMix = []struct {
 
 // Generate builds the synthetic circuit for profile p. The result is
 // frozen, uses only NAND(2-4)/NOR(2-4)/INV cells, and is identical across
-// runs and platforms for a given profile.
+// runs and platforms for a given profile; TestGenerateGolden pins every
+// Table I circuit byte for byte. The cost is linear in circuit size.
 func Generate(p Profile) (*netlist.Circuit, error) {
 	if p.PIs < 1 || p.FFs < 1 || p.Gates < p.POs+p.FFs {
 		return nil, fmt.Errorf("iscas: implausible profile %+v", p)
@@ -106,23 +109,63 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	c := netlist.New(p.Name)
 
-	// Driver pool in creation order; unread tracks nets without fanout yet.
-	var pool []string
-	unread := make(map[string]bool)
-	addDriver := func(name string) {
-		pool = append(pool, name)
-		unread[name] = true
+	// Driver pool in creation order, addressed by index: names, a
+	// conservative arrival-time estimate (ps) per net, and a bitset of
+	// the nets without fanout yet. arr keeps the random logic's depth
+	// safely below the critical spines built for CritFrac (see below):
+	// spine delays are estimated tightly, natural logic pessimistically
+	// (fanout-4 loads).
+	size := p.PIs + p.FFs + p.Gates
+	names := make([]string, 0, size)
+	arr := make([]float64, 0, size)
+	unread := make([]uint64, 0, (size+63)/64)
+	nUnread := 0
+	addDriver := func(name string, a float64) {
+		i := len(names)
+		names = append(names, name)
+		arr = append(arr, a)
+		if i%64 == 0 {
+			unread = append(unread, 0)
+		}
+		unread[i/64] |= 1 << (i % 64)
+		nUnread++
+	}
+	markRead := func(i int) {
+		if w, b := i/64, uint64(1)<<(i%64); unread[w]&b != 0 {
+			unread[w] &^= b
+			nUnread--
+		}
+	}
+	// nextUnread returns the first unread pool index in [from, to) with
+	// arrival at most maxArr, or -1.
+	nextUnread := func(from, to int, maxArr float64) int {
+		for w := from / 64; w*64 < to; w++ {
+			word := unread[w]
+			if w == from/64 {
+				word &= ^uint64(0) << (from % 64)
+			}
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if i >= to {
+					return -1
+				}
+				if arr[i] <= maxArr {
+					return i
+				}
+			}
+		}
+		return -1
 	}
 	for i := 0; i < p.PIs; i++ {
 		name := fmt.Sprintf("PI%d", i)
 		c.AddPI(name)
-		addDriver(name)
+		addDriver(name, 0)
 	}
 	for i := 0; i < p.FFs; i++ {
 		q := fmt.Sprintf("Q%d", i)
 		d := fmt.Sprintf("D%d", i)
 		c.AddFF(fmt.Sprintf("ff%d", i), q, d)
-		addDriver(q)
+		addDriver(q, 0)
 	}
 
 	totalWeight := 0
@@ -139,49 +182,57 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 		}
 		return logic.Nand, 2
 	}
-	// arr holds a conservative arrival-time estimate (ps) per pool net,
-	// used to keep the random logic's depth safely below the critical
-	// spines built for CritFrac (see below). Spine delays are estimated
-	// tightly, natural logic pessimistically (fanout-4 loads).
-	arr := make(map[string]float64)
 	dm := timing.Default()
 	natDelay := func(gt logic.GateType, arity int) float64 {
 		return dm.GateDelay(gt, arity, 4)
 	}
 	const window = 40 // locality window for input selection
-	pickInput := func(used map[string]bool, maxArr float64) string {
+	// pickInput returns the pool index of a gate input that is not in
+	// used and arrives by maxArr.
+	pickInput := func(used []int, maxArr float64) int {
 		for tries := 0; ; tries++ {
-			var cand string
+			cand := -1
 			switch {
-			case tries < 2 && len(unread) > 0 && rng.Intn(100) < 35:
-				// Bias toward unread nets so dead logic stays rare.
-				k := rng.Intn(len(pool))
-				for off := 0; off < len(pool); off++ {
-					n := pool[(k+off)%len(pool)]
-					if unread[n] && arr[n] <= maxArr {
-						cand = n
-						break
-					}
+			case tries < 2 && nUnread > 0 && rng.Intn(100) < 35:
+				// Bias toward unread nets so dead logic stays rare:
+				// the first one at or after a random index, wrapping.
+				k := rng.Intn(len(names))
+				if cand = nextUnread(k, len(names), maxArr); cand < 0 {
+					cand = nextUnread(0, k, maxArr)
 				}
-			case rng.Intn(100) < 70 && len(pool) > window:
-				cand = pool[len(pool)-1-rng.Intn(window)]
+			case rng.Intn(100) < 70 && len(names) > window:
+				cand = len(names) - 1 - rng.Intn(window)
 			default:
-				cand = pool[rng.Intn(len(pool))]
+				cand = rng.Intn(len(names))
 			}
-			if cand == "" || used[cand] || arr[cand] > maxArr {
+			if cand < 0 || slices.Contains(used, cand) || arr[cand] > maxArr {
 				if tries > 12 {
 					// Fall back to any unused, shallow-enough pool entry;
 					// primary inputs (arrival 0) always qualify.
-					for _, n := range pool {
-						if !used[n] && arr[n] <= maxArr {
-							return n
+					for i := range names {
+						if !slices.Contains(used, i) && arr[i] <= maxArr {
+							return i
 						}
 					}
-					return pool[0]
+					return 0
 				}
 				continue
 			}
 			return cand
+		}
+	}
+	// ins holds the pool indices of the gate being built; it is also the
+	// used set of its remaining input picks. inNames is its AddGate form.
+	ins := make([]int, 0, 4)
+	inNames := make([]string, 0, 4)
+	addGate := func(gt logic.GateType, out string) {
+		inNames = inNames[:0]
+		for _, i := range ins {
+			inNames = append(inNames, names[i])
+		}
+		c.AddGate(gt, out, inNames...)
+		for _, i := range ins {
+			markRead(i)
 		}
 	}
 
@@ -191,11 +242,12 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 	gi := 0
 	emitted := 0
 
-	// xorBlock emits the mapped four-NAND2 XOR network over a and b and
-	// returns the output net name. The rung delay estimate is exact for
-	// the chain topology (n1 drives two loads, n2/n3 one each).
+	// xorBlock emits the mapped four-NAND2 XOR network over a and b,
+	// arriving at aArr and bArr, and returns the output net name and its
+	// arrival. The rung delay estimate is exact for the chain topology
+	// (n1 drives two loads, n2/n3 one each).
 	xorRungDelay := dm.GateDelay(logic.Nand, 2, 2) + 2*dm.GateDelay(logic.Nand, 2, 1)
-	xorBlock := func(a, b string) string {
+	xorBlock := func(a, b string, aArr, bArr float64) (string, float64) {
 		n1 := fmt.Sprintf("n%d", gi)
 		n2 := fmt.Sprintf("n%d", gi+1)
 		n3 := fmt.Sprintf("n%d", gi+2)
@@ -204,16 +256,12 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 		c.AddGate(logic.Nand, n2, a, n1)
 		c.AddGate(logic.Nand, n3, b, n1)
 		c.AddGate(logic.Nand, out, n2, n3)
-		delete(unread, a)
-		delete(unread, b)
-		aMax := arr[a]
-		if arr[b] > aMax {
-			aMax = arr[b]
+		if bArr > aArr {
+			aArr = bArr
 		}
-		arr[out] = aMax + xorRungDelay
 		gi += 4
 		emitted += 4
-		return out
+		return out, aArr + xorRungDelay
 	}
 
 	// Critical spines: CritFrac of the flops feed deep XOR ladders whose
@@ -245,32 +293,29 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 		spineArr := 0.0
 		for l := 0; l < numLadders; l++ {
 			// Root: NAND over this ladder's critical flop outputs.
-			var roots []string
+			ins = ins[:0]
 			for q := 4 * l; q < 4*(l+1) && q < nCrit; q++ {
-				roots = append(roots, fmt.Sprintf("Q%d", q))
+				ins = append(ins, p.PIs+q)
 			}
-			if len(roots) == 1 {
-				roots = append(roots, "PI0")
+			if len(ins) == 1 {
+				ins = append(ins, 0) // PI0
 			}
-			rootOut := fmt.Sprintf("n%d", gi)
-			c.AddGate(logic.Nand, rootOut, roots...)
-			for _, r := range roots {
-				delete(unread, r)
-			}
-			arr[rootOut] = dm.GateDelay(logic.Nand, len(roots), 2)
+			prev := fmt.Sprintf("n%d", gi)
+			addGate(logic.Nand, prev)
+			prevArr := dm.GateDelay(logic.Nand, len(ins), 2)
 			gi++
 			emitted++
-			prev := rootOut
 			for r := 0; r < rungs; r++ {
-				used := map[string]bool{prev: true}
 				// Side inputs must stay shallower than the spine so the
-				// ladder remains the longest path from its flops.
-				side := pickInput(used, arr[prev])
-				prev = xorBlock(prev, side)
+				// ladder remains the longest path from its flops. The
+				// spine itself is not in the pool, so nothing is used.
+				side := pickInput(nil, prevArr)
+				prev, prevArr = xorBlock(prev, names[side], prevArr, arr[side])
+				markRead(side)
 			}
-			addDriver(prev) // the spine output joins the pool unread
-			if arr[prev] > spineArr {
-				spineArr = arr[prev]
+			addDriver(prev, prevArr) // the spine output joins the pool unread
+			if prevArr > spineArr {
+				spineArr = prevArr
 			}
 		}
 		if deepSpines {
@@ -285,38 +330,34 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 		// XOR blocks: the mapped four-NAND2 reconvergent network of a
 		// 2-input XOR, through which transitions always propagate.
 		if interior-emitted >= 4 && rng.Float64() < p.XORFrac/4 {
-			used := make(map[string]bool, 2)
-			a := pickInput(used, natCap)
-			used[a] = true
-			b := pickInput(used, natCap)
-			out := xorBlock(a, b)
+			ins = ins[:0]
+			a := pickInput(ins, natCap)
+			ins = append(ins, a)
+			b := pickInput(ins, natCap)
+			out, outArr := xorBlock(names[a], names[b], arr[a], arr[b])
+			markRead(a)
+			markRead(b)
 			// The inner nets are fully consumed inside the block; only
 			// the XOR output joins the pool.
-			addDriver(out)
+			addDriver(out, outArr)
 			continue
 		}
 		gt, arity := pickType()
-		if arity > len(pool) {
+		if arity > len(names) {
 			arity = 2
 		}
-		used := make(map[string]bool, arity)
-		ins := make([]string, 0, arity)
+		ins = ins[:0]
 		inArr := 0.0
 		for len(ins) < arity {
-			n := pickInput(used, natCap)
-			used[n] = true
+			n := pickInput(ins, natCap)
 			ins = append(ins, n)
 			if arr[n] > inArr {
 				inArr = arr[n]
 			}
 		}
 		out := fmt.Sprintf("n%d", gi)
-		c.AddGate(gt, out, ins...)
-		for _, n := range ins {
-			delete(unread, n)
-		}
-		arr[out] = inArr + natDelay(gt, arity)
-		addDriver(out)
+		addGate(gt, out)
+		addDriver(out, inArr+natDelay(gt, arity))
 		gi++
 		emitted++
 	}
@@ -327,29 +368,22 @@ func Generate(p Profile) (*netlist.Circuit, error) {
 		if gt == logic.Not {
 			gt, arity = logic.Nand, 2
 		}
-		used := make(map[string]bool, arity)
-		ins := make([]string, 0, arity)
+		ins = ins[:0]
 		// Consume unread nets in pool (creation) order for determinism.
-		for _, n := range pool {
-			if len(ins) >= arity-1 {
+		for i := 0; len(ins) < arity-1; i++ {
+			if i = nextUnread(i, len(names), math.Inf(1)); i < 0 {
 				break
 			}
-			if unread[n] && !used[n] {
-				used[n] = true
-				ins = append(ins, n)
-			}
+			ins = append(ins, i)
 		}
 		for len(ins) < arity {
-			n := pickInput(used, natCap)
-			used[n] = true
-			ins = append(ins, n)
+			ins = append(ins, pickInput(ins, natCap))
 		}
-		c.AddGate(gt, out, ins...)
-		for _, n := range ins {
-			delete(unread, n)
-		}
-		addDriver(out)
-		delete(unread, out)
+		addGate(gt, out)
+		// The output joins the pool already read and with no arrival
+		// estimate (0), so later terminal gates may still pick it.
+		addDriver(out, 0)
+		markRead(len(names) - 1)
 	}
 	for i := 0; i < p.FFs; i++ {
 		terminal(fmt.Sprintf("D%d", i))

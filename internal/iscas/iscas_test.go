@@ -1,9 +1,15 @@
 package iscas
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/netlist"
 	"repro/internal/techmap"
 	"repro/internal/timing"
 )
@@ -34,9 +40,6 @@ func TestProfilesMatchPublishedStats(t *testing.T) {
 
 func TestGenerateMatchesProfile(t *testing.T) {
 	for _, p := range Profiles {
-		if p.Gates > 1000 {
-			continue // big ones covered by TestGenerateLargest
-		}
 		c, err := Generate(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -62,10 +65,6 @@ func TestGenerateLargest(t *testing.T) {
 	c, err := Generate(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	st := c.ComputeStats()
-	if st.Gates != p.Gates || st.FFs != p.FFs {
-		t.Errorf("s9234 stats %v", st)
 	}
 	// Timing must show a mix of critical and slack-rich pseudo-inputs so
 	// AddMUX has real decisions to make.
@@ -166,4 +165,125 @@ func TestCritFracControlsMuxability(t *testing.T) {
 	if m, n := count("s1196"); m > n*2/3 {
 		t.Errorf("s1196: %d/%d muxable, want a clear minority unmuxable at least (CritFrac 0.8)", m, n)
 	}
+}
+
+// TestGenerateGolden pins every Table I circuit byte for byte: the
+// SHA-256 of its .bench text and its structural Fingerprint. Every
+// published Table I number, benchmark digest and stored scanpowerd
+// result depends on these circuits, so any change to the generator's
+// rng call sequence, net naming or net order must fail here.
+func TestGenerateGolden(t *testing.T) {
+	want := map[string][2]string{ // name: {sha256 of bench.Write, Fingerprint}
+		"s344":  {"bd07d4b36875163c6b65e4c6f2cacecfaa08abc355f1a6a367f9780868da7a61", "4709e275df5c81fb"},
+		"s382":  {"1a19378a43b10cf12c5e7ed92e20a86ade8d56caf8dbc7040c841570778259b1", "06a6acab05cebbdc"},
+		"s444":  {"b1748872f6b468b7bffc44f0ede5a7504f9c192cd0bade44f4b2f4ee842b9f7f", "654fd277f7590e7b"},
+		"s510":  {"1dc911a47c89ab32be80a590c2c6a274e3f6ffc766a5849d32dfec85a471db98", "dd47c08acfd59ab8"},
+		"s641":  {"30c5bae235004bade1b3de908303167e79e2aa09a963e0676afc0a980da7d748", "acf7295a8e81ae56"},
+		"s713":  {"86b2e04dbfc19a76f0fc19beaeae2cf599accedae06d365ec9b586a9fe38dcb0", "f50ce950b532f739"},
+		"s1196": {"b51587889a4155018e71713f3b8a5993725a41c90f07d53e7c432a361c20933f", "2dce941dd4b80d44"},
+		"s1238": {"31a36b7aa7fb2faa219807e011335951c7d82e3e7493e873e10f21af2d9a1ab3", "81b9aadf60e42d3d"},
+		"s1423": {"8d547cc8b96b94f9887d4f8bf8630a633ea8af1638cb31cad486bcb90f1bfaac", "8864ab51e34d410f"},
+		"s1494": {"c0476524f52cb953cecd20a5e94d5313079688d9482f0044b720c18c4e34cf23", "abdcfe7fa4a16f01"},
+		"s5378": {"03bed940375bd935fc69e887d9b9eb432a1080fa81e296efc3a6125f6b9577ba", "20b93924fdcc6e6e"},
+		"s9234": {"2a496b0efb782d9c54d4d5c292104f9c8cf1e1d957d6a4419936e160c18bcc85", "4dc593fddbd2502e"},
+	}
+	if len(want) != len(Profiles) {
+		t.Fatalf("golden table has %d circuits, Profiles has %d", len(want), len(Profiles))
+	}
+	for _, p := range Profiles {
+		c, err := Generate(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		text, fp := digest(t, c)
+		sum := sha256.Sum256(text)
+		got := [2]string{hex.EncodeToString(sum[:]), fmt.Sprintf("%016x", fp)}
+		if got != want[p.Name] {
+			t.Errorf("%s: sha256 %s fingerprint %s, want %s %s",
+				p.Name, got[0], got[1], want[p.Name][0], want[p.Name][1])
+		}
+	}
+}
+
+// BenchmarkGenerate times Generate on each Table I profile.
+func BenchmarkGenerate(b *testing.B) {
+	for _, p := range Profiles {
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := Generate(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				generated = c
+			}
+		})
+	}
+}
+
+// generated keeps BenchmarkGenerate's result live so the call is not
+// optimised away.
+var generated *netlist.Circuit
+
+// digest returns the .bench text and Fingerprint of a generated circuit.
+func digest(t testing.TB, c *netlist.Circuit) ([]byte, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := bench.Write(&buf, c); err != nil {
+		t.Fatalf("%s: bench.Write: %v", c.Name, err)
+	}
+	return buf.Bytes(), c.Fingerprint()
+}
+
+// FuzzGenerateEquivalence drives Generate and the original quadratic
+// generator over random profiles: both must reject the same profiles with
+// the same error, or build circuits with identical .bench text and
+// Fingerprint. The corpus reaches deep spines (CritFrac >= 0.15), the
+// tries > 12 fallback pick, gate arities above the pool size and the
+// implausible-profile error.
+func FuzzGenerateEquivalence(f *testing.F) {
+	f.Add(int64(510), uint8(18), uint8(7), uint8(5), uint16(211), 0.30, 0.95) // s510: deep spines
+	f.Add(int64(9234), uint8(35), uint8(39), uint8(60), uint16(1500), 0.03, 0.02)
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(1), 0.0, 0.0)  // one PI, one FF: fallback
+	f.Add(int64(3), uint8(0), uint8(0), uint8(0), uint16(40), 0.0, 0.0) // arity > pool size
+	f.Add(int64(4), uint8(2), uint8(9), uint8(9), uint16(12), 0.5, 0.5) // gates < POs+FFs
+	f.Add(int64(-7), uint8(39), uint8(63), uint8(249), uint16(1400), 1.0, 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, pis, pos, ffs uint8, gates uint16, xorFrac, critFrac float64) {
+		p := Profile{
+			Name:     "fz",
+			PIs:      1 + int(pis)%40,
+			POs:      int(pos) % 64,
+			FFs:      1 + int(ffs)%250,
+			Gates:    int(gates) % 1501,
+			Seed:     seed,
+			XORFrac:  unitFrac(xorFrac),
+			CritFrac: unitFrac(critFrac),
+		}
+		got, gotErr := Generate(p)
+		want, wantErr := generateReference(p)
+		if gotErr != nil || wantErr != nil {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%+v: error %v, reference %v", p, gotErr, wantErr)
+			}
+			return
+		}
+		gotText, gotFP := digest(t, got)
+		wantText, wantFP := digest(t, want)
+		if !bytes.Equal(gotText, wantText) || gotFP != wantFP {
+			t.Fatalf("%+v: circuit differs from the reference (fingerprint %016x, reference %016x)",
+				p, gotFP, wantFP)
+		}
+	})
+}
+
+// unitFrac folds any float into [0, 1].
+func unitFrac(f float64) float64 {
+	f = math.Abs(f)
+	if f > 1 {
+		f = math.Mod(f, 1)
+	}
+	if math.IsNaN(f) {
+		return 0
+	}
+	return f
 }
