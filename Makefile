@@ -3,11 +3,10 @@
 # worker pool or pattern cache.
 
 GO ?= go
-DATE := $(shell date +%Y%m%d)
 
-.PHONY: check build vet test race atpg-race bench bench-json telemetry-race wide-race fuzz-equiv bench-atpg api-compat serve-smoke loadsmoke obs-smoke bench-cluster
+.PHONY: check build vet test race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
 
-check: vet build test race atpg-race telemetry-race wide-race fuzz-equiv api-compat bench-json serve-smoke loadsmoke obs-smoke
+check: vet build test race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -27,22 +26,19 @@ race:
 atpg-race:
 	$(GO) test -race -run 'Workers|Podem|Scheduler|DetectAllMask|RandomPhase' ./internal/atpg/ .
 
-# Engine acceptance benchmark: sequential vs GOMAXPROCS Table I.
-bench:
-	$(GO) test -run=NONE -bench=BenchmarkTableOne -benchtime=1x .
-
-# Machine-readable perf trajectory: a small Table I run whose manifest
-# (environment, per-stage wall times, counters, results) lands in
-# BENCH_<date>.json for cross-commit comparison.
-bench-json:
-	$(GO) run ./cmd/tableone -circuits s344,s382,s444 -manifest BENCH_$(DATE).json >/dev/null
+# End-to-end tableone run: a small Table I with -manifest into a
+# temporary file, which must parse as scanpower/run-manifest/v1 with one
+# four-stage entry per circuit. Performance is measured by benchmark/run.sh.
+manifest-smoke:
+	$(GO) run ./scripts/manifestsmoke -circuits s344,s382,s444
 
 # The telemetry path under the race detector: concurrent Engine workers
-# feeding one Recorder, registry, and trace writer. The Packed kernel,
+# and same-named concurrent Compares feeding one Recorder, registry, and
+# trace writer through the probe scopes. The Packed kernel,
 # packed Monte-Carlo, hook-pairing and scanpowerd service tests ride along
 # so the bit-parallel paths and the job queue are raced too.
 telemetry-race:
-	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/
+	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
 
 # The 256-lane compiled kernels under the race detector: the Compile
 # lowering property test, the wide-vs-scalar equivalence suites, and
@@ -72,7 +68,7 @@ serve-smoke:
 # with one node SIGKILLed and restarted on its result store (must serve
 # a first-life result bit-identically from disk, no ATPG recompute),
 # and a clean SIGTERM drain of every node. Short traffic windows here;
-# `make bench-cluster` is the full-length run.
+# `go run ./scripts/loadsmoke -out FILE` is the full-length run.
 loadsmoke:
 	$(GO) run ./scripts/loadsmoke -short
 
@@ -83,12 +79,6 @@ loadsmoke:
 # bit-exact sums of the per-node /v1/node/metrics snapshots.
 obs-smoke:
 	$(GO) run ./scripts/obssmoke
-
-# Full-length cluster benchmark: throughput/latency percentiles of the
-# single node vs the 3-node cluster land in BENCH_<date>_cluster.json.
-# The cold-scaling bar (>= 2x) is enforced on hosts with >= 3 CPUs.
-bench-cluster:
-	$(GO) run ./scripts/loadsmoke -out BENCH_$(DATE)_cluster.json
 
 # Short equivalence fuzz of each fast path against its reference: random
 # circuits through the wide evaluators and the scalar simulator, random
@@ -105,10 +95,3 @@ fuzz-equiv:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzMCPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s
-
-# ATPG pipeline benchmark: incremental event-driven PODEM + batched fault
-# dropping vs the preserved legacy baseline on s1423/s5378, plus the
-# Workers=1 vs Workers=4 bit-identity gate (acceptance: podem phase >= 5x
-# on s1423; report lands in BENCH_<date>_atpg.json).
-bench-atpg:
-	ATPG_BENCH_OUT=$(CURDIR)/BENCH_$(DATE)_atpg.json $(GO) test ./internal/atpg/ -run TestBenchATPGJSON -count=1 -v

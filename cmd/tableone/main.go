@@ -11,8 +11,8 @@
 // (expvar) and /debug/pprof on the given address while the run executes;
 // -trace writes the run → circuit → stage span tree as JSON Lines;
 // -manifest writes a machine-readable run manifest (environment, config,
-// per-circuit stage timings, metric snapshot, results) — the payload of
-// `make bench-json`.
+// per-circuit stage timings, metric snapshot, results), which
+// `make manifest-smoke` checks.
 //
 // Usage:
 //

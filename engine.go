@@ -10,9 +10,8 @@ import (
 	"time"
 
 	"repro/internal/atpg"
-	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/power"
+	"repro/internal/probe"
 )
 
 // Stage names reported through Hooks.
@@ -65,12 +64,14 @@ type JustifyInfo struct {
 	Backtracks int
 }
 
-// Hooks observes an Engine (or a context-first package function) as it
-// works. Any field may be nil; callbacks must be safe for concurrent use
-// when the Engine runs with more than one worker. The stage callbacks are
-// coarse (four per circuit); the remaining callbacks are the deep
-// instrumentation feed of the telemetry layer (see Recorder) and fire at
-// per-fault / per-pattern granularity, so keep them cheap.
+// Hooks observes an Engine as it works. The Engine opens one probe scope
+// per circuit and stage on the context it hands the kernels; every event
+// they emit there reaches the matching field. Any field may be nil;
+// callbacks must be safe for concurrent use when the Engine runs with
+// more than one worker. The stage callbacks are coarse (four per
+// circuit); the remaining callbacks are the deep instrumentation feed of
+// the telemetry layer (see Recorder) and fire at per-fault / per-pattern
+// granularity, so keep them cheap.
 type Hooks struct {
 	// OnStageStart fires when a stage begins on a circuit. Cache-served
 	// ATPG stages fire it too, immediately followed by their OnStageDone
@@ -119,273 +120,132 @@ type Hooks struct {
 	// Config.ATPG.Workers > 1). It is invoked concurrently from worker
 	// goroutines; implementations must be goroutine-safe.
 	OnPodemChunk func(circuit string, start, n int, elapsed time.Duration)
+
+	// sink receives every event after the fields: the Recorder and
+	// MergeHooks attach here.
+	sink probe.Sink
 }
 
-// empty reports whether no callback is set (func fields make Hooks
-// non-comparable, so this stands in for == Hooks{}).
-func (h Hooks) empty() bool {
-	return h.OnStageStart == nil && h.OnStageDone == nil && h.OnProgress == nil &&
-		h.OnSubStage == nil && h.OnPodemFault == nil && h.OnJustify == nil &&
-		h.OnObsSamples == nil && h.OnPattern == nil && h.OnMeasureBatch == nil &&
-		h.OnMCBatch == nil && h.OnFaultSimBatch == nil && h.OnPodemChunk == nil
-}
-
-func (h Hooks) stageStart(circuit, stage string) {
-	if h.OnStageStart != nil {
-		h.OnStageStart(circuit, stage)
-	}
-}
-
-func (h Hooks) stageDone(circuit, stage string, elapsed time.Duration, info StageInfo) {
-	if h.OnStageDone != nil {
-		h.OnStageDone(circuit, stage, elapsed, info)
-	}
-}
-
-func (h Hooks) progress(circuit string, done, total int) {
-	if h.OnProgress != nil {
-		h.OnProgress(circuit, done, total)
-	}
-}
-
-// atpgObserver adapts the deep hooks to an atpg.Observer bound to one
-// circuit. With none of the relevant hooks set it returns the zero
-// Observer, which adds no work to generation.
-func (h Hooks) atpgObserver(c *netlist.Circuit) atpg.Observer {
-	var ob atpg.Observer
-	if h.OnPodemFault != nil {
-		hook := h.OnPodemFault
-		ob.OnPodemFault = func(f atpg.Fault, outcome atpg.PodemOutcome, backtracks int) {
-			hook(c.Name, PodemFaultInfo{
-				Fault:      f.Name(c),
-				Outcome:    outcome.String(),
-				Backtracks: backtracks,
+// emit is Hooks as a probe sink: it sends each event to its matching
+// field, then to the attached sink.
+func (h Hooks) emit(sc *probe.Scope, ev probe.Event) {
+	switch ev.Kind {
+	case probe.StageStart:
+		if h.OnStageStart != nil {
+			h.OnStageStart(sc.Circuit, sc.Stage)
+		}
+	case probe.StageDone:
+		if h.OnStageDone != nil {
+			h.OnStageDone(sc.Circuit, sc.Stage, ev.Elapsed, StageInfo{
+				Patterns: ev.Patterns, Backtracks: ev.Backtracks, CacheHit: ev.CacheHit, Failed: ev.Failed,
 			})
 		}
-	}
-	if h.OnSubStage != nil {
-		hook := h.OnSubStage
-		ob.OnPhase = func(phase string, elapsed time.Duration, patterns int) {
-			hook(c.Name, StageATPG, phase, elapsed, StageInfo{Patterns: patterns})
-		}
-	}
-	if h.OnFaultSimBatch != nil {
-		hook := h.OnFaultSimBatch
-		ob.OnFaultSimBatch = func(kind string, lanes int, elapsed time.Duration) {
-			hook(c.Name, kind, lanes, elapsed)
-		}
-	}
-	if h.OnPodemChunk != nil {
-		hook := h.OnPodemChunk
-		ob.OnPodemChunk = func(start, n int, elapsed time.Duration) {
-			hook(c.Name, start, n, elapsed)
-		}
-	}
-	return ob
-}
-
-// coreObserver adapts the deep hooks to a core.Observer bound to one
-// circuit's structure-build stage.
-func (h Hooks) coreObserver(circuit, stage string) core.Observer {
-	var ob core.Observer
-	if h.OnJustify != nil {
-		hook := h.OnJustify
-		ob.OnJustify = func(_ netlist.NetID, success bool, backtracks int) {
-			hook(circuit, JustifyInfo{Success: success, Backtracks: backtracks})
-		}
-	}
-	if h.OnObsSamples != nil {
-		hook := h.OnObsSamples
-		ob.OnObsSamples = func(n int) { hook(circuit, n) }
-	}
-	if h.OnMCBatch != nil {
-		hook := h.OnMCBatch
-		ob.OnMCBatch = func(kind string, lanes int, elapsed time.Duration) {
-			hook(circuit, stage, kind, lanes, elapsed)
-		}
-	}
-	if h.OnSubStage != nil {
-		hook := h.OnSubStage
-		ob.OnPhase = func(phase string, elapsed time.Duration) {
-			hook(circuit, stage, phase, elapsed, StageInfo{})
-		}
-	}
-	return ob
-}
-
-// measureOptions returns the per-stage measurement options, wiring the
-// per-pattern hook when set.
-func (h Hooks) measureOptions(ctx context.Context, circuit, stage string) power.MeasureOptions {
-	m := power.MeasureOptions{Ctx: ctx}
-	if h.OnPattern != nil {
-		hook := h.OnPattern
-		m.OnPattern = func(index int) { hook(circuit, stage, index) }
-	}
-	if h.OnMeasureBatch != nil {
-		hook := h.OnMeasureBatch
-		m.OnBatch = func(lanes int, elapsed time.Duration) { hook(circuit, stage, lanes, elapsed) }
-	}
-	return m
-}
-
-// MergeHooks chains any number of hook sets: every non-nil callback of
-// every set fires, in argument order. Use it to combine a progress printer
-// with a telemetry Recorder.
-func MergeHooks(hs ...Hooks) Hooks {
-	var live []Hooks
-	for _, h := range hs {
-		if !h.empty() {
-			live = append(live, h)
-		}
-	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	var out Hooks
-	for _, h := range live {
-		h := h
-		if h.OnStageStart != nil {
-			prev := out.OnStageStart
-			next := h.OnStageStart
-			out.OnStageStart = func(circuit, stage string) {
-				if prev != nil {
-					prev(circuit, stage)
-				}
-				next(circuit, stage)
-			}
-		}
-		if h.OnStageDone != nil {
-			prev := out.OnStageDone
-			next := h.OnStageDone
-			out.OnStageDone = func(circuit, stage string, elapsed time.Duration, info StageInfo) {
-				if prev != nil {
-					prev(circuit, stage, elapsed, info)
-				}
-				next(circuit, stage, elapsed, info)
-			}
-		}
+	case probe.Progress:
 		if h.OnProgress != nil {
-			prev := out.OnProgress
-			next := h.OnProgress
-			out.OnProgress = func(circuit string, done, total int) {
-				if prev != nil {
-					prev(circuit, done, total)
-				}
-				next(circuit, done, total)
-			}
+			h.OnProgress(sc.Circuit, ev.N, ev.Total)
 		}
+	case probe.SubStage:
 		if h.OnSubStage != nil {
-			prev := out.OnSubStage
-			next := h.OnSubStage
-			out.OnSubStage = func(circuit, stage, sub string, elapsed time.Duration, info StageInfo) {
-				if prev != nil {
-					prev(circuit, stage, sub, elapsed, info)
-				}
-				next(circuit, stage, sub, elapsed, info)
-			}
+			h.OnSubStage(sc.Circuit, sc.Stage, ev.Name, ev.Elapsed, StageInfo{Patterns: ev.Patterns})
 		}
+	case probe.PodemFault:
 		if h.OnPodemFault != nil {
-			prev := out.OnPodemFault
-			next := h.OnPodemFault
-			out.OnPodemFault = func(circuit string, info PodemFaultInfo) {
-				if prev != nil {
-					prev(circuit, info)
-				}
-				next(circuit, info)
-			}
+			h.OnPodemFault(sc.Circuit, PodemFaultInfo{Fault: ev.Name, Outcome: ev.Outcome, Backtracks: ev.Backtracks})
 		}
+	case probe.Justify:
 		if h.OnJustify != nil {
-			prev := out.OnJustify
-			next := h.OnJustify
-			out.OnJustify = func(circuit string, info JustifyInfo) {
-				if prev != nil {
-					prev(circuit, info)
-				}
-				next(circuit, info)
-			}
+			h.OnJustify(sc.Circuit, JustifyInfo{Success: ev.OK, Backtracks: ev.Backtracks})
 		}
+	case probe.Samples:
 		if h.OnObsSamples != nil {
-			prev := out.OnObsSamples
-			next := h.OnObsSamples
-			out.OnObsSamples = func(circuit string, samples int) {
-				if prev != nil {
-					prev(circuit, samples)
-				}
-				next(circuit, samples)
-			}
+			h.OnObsSamples(sc.Circuit, ev.N)
 		}
+	case probe.Pattern:
 		if h.OnPattern != nil {
-			prev := out.OnPattern
-			next := h.OnPattern
-			out.OnPattern = func(circuit, stage string, index int) {
-				if prev != nil {
-					prev(circuit, stage, index)
-				}
-				next(circuit, stage, index)
-			}
+			h.OnPattern(sc.Circuit, sc.Stage, ev.N)
 		}
+	case probe.MeasureBatch:
 		if h.OnMeasureBatch != nil {
-			prev := out.OnMeasureBatch
-			next := h.OnMeasureBatch
-			out.OnMeasureBatch = func(circuit, stage string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, stage, lanes, elapsed)
-				}
-				next(circuit, stage, lanes, elapsed)
-			}
+			h.OnMeasureBatch(sc.Circuit, sc.Stage, ev.N, ev.Elapsed)
 		}
+	case probe.MCBatch:
 		if h.OnMCBatch != nil {
-			prev := out.OnMCBatch
-			next := h.OnMCBatch
-			out.OnMCBatch = func(circuit, stage, kind string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, stage, kind, lanes, elapsed)
-				}
-				next(circuit, stage, kind, lanes, elapsed)
-			}
+			h.OnMCBatch(sc.Circuit, sc.Stage, ev.Name, ev.N, ev.Elapsed)
 		}
+	case probe.FaultSimBatch:
 		if h.OnFaultSimBatch != nil {
-			prev := out.OnFaultSimBatch
-			next := h.OnFaultSimBatch
-			out.OnFaultSimBatch = func(circuit, kind string, lanes int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, kind, lanes, elapsed)
-				}
-				next(circuit, kind, lanes, elapsed)
-			}
+			h.OnFaultSimBatch(sc.Circuit, ev.Name, ev.N, ev.Elapsed)
 		}
+	case probe.PodemChunk:
 		if h.OnPodemChunk != nil {
-			prev := out.OnPodemChunk
-			next := h.OnPodemChunk
-			out.OnPodemChunk = func(circuit string, start, n int, elapsed time.Duration) {
-				if prev != nil {
-					prev(circuit, start, n, elapsed)
-				}
-				next(circuit, start, n, elapsed)
-			}
+			h.OnPodemChunk(sc.Circuit, ev.Start, ev.N, ev.Elapsed)
 		}
 	}
-	return out
+	if h.sink != nil {
+		h.sink(sc, ev)
+	}
+}
+
+// MergeHooks fans events out to any number of hook sets: every non-nil
+// callback of every set fires, in argument order. Use it to combine a
+// progress printer with a telemetry Recorder. The merged set's own fields
+// are nil; it reports only through the Engine it is attached to.
+func MergeHooks(hs ...Hooks) Hooks {
+	hs = append([]Hooks(nil), hs...)
+	return Hooks{sink: func(sc *probe.Scope, ev probe.Event) {
+		for _, h := range hs {
+			h.emit(sc, ev)
+		}
+	}}
+}
+
+// atpgObserver maps generation telemetry onto the ATPG stage scope sc.
+// Without a scope it returns the zero Observer, which adds no work to
+// generation.
+func atpgObserver(sc *probe.Scope, c *netlist.Circuit) atpg.Observer {
+	if sc == nil {
+		return atpg.Observer{}
+	}
+	return atpg.Observer{
+		OnPodemFault: func(f atpg.Fault, outcome atpg.PodemOutcome, backtracks int) {
+			sc.Emit(probe.Event{Kind: probe.PodemFault, Name: f.Name(c), Outcome: outcome.String(), Backtracks: backtracks})
+		},
+		OnPhase: func(phase string, elapsed time.Duration, patterns int) {
+			sc.Emit(probe.Event{Kind: probe.SubStage, Name: phase, Elapsed: elapsed, Patterns: patterns})
+		},
+		OnFaultSimBatch: func(kind string, lanes int, elapsed time.Duration) {
+			sc.Emit(probe.Event{Kind: probe.FaultSimBatch, Name: kind, N: lanes, Elapsed: elapsed})
+		},
+		OnPodemChunk: func(start, n int, elapsed time.Duration) {
+			sc.Emit(probe.Event{Kind: probe.PodemChunk, Start: start, N: n, Elapsed: elapsed})
+		},
+	}
 }
 
 // patternSource supplies the ATPG result for a circuit: the Engine plugs
 // in its memoized layer, plain package functions the direct generator.
 type patternSource func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error)
 
-// directPatterns generates without caching, reporting through hooks.
-func directPatterns(cfg Config, hooks Hooks) patternSource {
+// directPatterns generates without caching.
+func directPatterns(cfg Config) patternSource {
 	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
-		hooks.stageStart(c.Name, StageATPG)
-		start := time.Now()
-		res, err := atpg.GenerateObserved(ctx, c, scaledATPG(c, cfg), hooks.atpgObserver(c))
-		if err != nil {
-			hooks.stageDone(c.Name, StageATPG, time.Since(start), StageInfo{Failed: true})
-			return nil, err
-		}
-		hooks.stageDone(c.Name, StageATPG, time.Since(start),
-			StageInfo{Patterns: len(res.Patterns), Backtracks: res.Backtracks})
-		return res, nil
+		return generate(ctx, c, scaledATPG(c, cfg))
 	}
+}
+
+// generate is the ATPG stage: generation on c under a stage scope of ctx,
+// whose start and done always pair up.
+func generate(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (*atpg.Result, error) {
+	ctx, sc := probe.Stage(ctx, StageATPG)
+	start := time.Now()
+	res, err := atpg.GenerateObserved(ctx, c, opts, atpgObserver(sc, c))
+	if err != nil {
+		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start), Failed: true})
+		return nil, err
+	}
+	sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
+		Patterns: len(res.Patterns), Backtracks: res.Backtracks})
+	return res, nil
 }
 
 // patternKey identifies one memoized ATPG run: the frozen circuit's
@@ -492,9 +352,10 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 	return e.hits.Load(), e.misses.Load()
 }
 
-// patterns is the Engine's memoized pattern source under its own Cfg.
-func (e *Engine) patterns(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
-	return e.patternsFor(e.Cfg)(ctx, c)
+// scope opens a circuit scope on ctx reporting to e.Hooks; close it when
+// the circuit's work is done.
+func (e *Engine) scope(ctx context.Context, circuit string) (context.Context, *probe.Scope) {
+	return probe.Open(ctx, e.Hooks.emit, circuit)
 }
 
 // patternsFor returns a memoized pattern source under an arbitrary
@@ -505,43 +366,37 @@ func (e *Engine) patterns(ctx context.Context, c *netlist.Circuit) (*atpg.Result
 func (e *Engine) patternsFor(cfg Config) patternSource {
 	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
 		opts := scaledATPG(c, cfg)
-		key := newPatternKey(c.Fingerprint(), opts)
-		gen := func() (*atpg.Result, error) {
-			e.Hooks.stageStart(c.Name, StageATPG)
-			start := time.Now()
-			res, err := atpg.GenerateObserved(ctx, c, opts, e.Hooks.atpgObserver(c))
-			if err != nil {
-				e.Hooks.stageDone(c.Name, StageATPG, time.Since(start), StageInfo{Failed: true})
-				return nil, err
-			}
-			e.Hooks.stageDone(c.Name, StageATPG, time.Since(start),
-				StageInfo{Patterns: len(res.Patterns), Backtracks: res.Backtracks})
-			return res, nil
-		}
-		res, hit, err := e.cache.get(ctx, key, gen)
+		res, hit, err := e.cache.get(ctx, newPatternKey(c.Fingerprint(), opts),
+			func() (*atpg.Result, error) { return generate(ctx, c, opts) })
 		if err != nil {
 			return nil, err
 		}
-		if hit {
-			e.hits.Add(1)
-			// Cache-served stages still emit a paired start/done (with
-			// CacheHit set) so span accounting never sees an unbalanced
-			// close.
-			e.Hooks.stageStart(c.Name, StageATPG)
-			e.Hooks.stageDone(c.Name, StageATPG, 0,
-				StageInfo{Patterns: len(res.Patterns), CacheHit: true})
-		} else {
+		if !hit {
 			e.misses.Add(1)
+			return res, nil
 		}
+		e.hits.Add(1)
+		// Cache-served stages still emit a paired start/done (with
+		// CacheHit set) so span accounting never sees an unbalanced close.
+		_, sc := probe.Stage(ctx, StageATPG)
+		sc.Emit(probe.Event{Kind: probe.StageDone, Patterns: len(res.Patterns), CacheHit: true})
 		return res, nil
 	}
+}
+
+// patterns is the memoized pattern source of the extension studies: their
+// ATPG stage is reported in a circuit scope of its own.
+func (e *Engine) patterns(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	return e.patternsFor(e.Cfg)(ctx, c)
 }
 
 // Compare runs the Table I experiment on c through the Engine's pattern
 // cache; repeated calls (or CompareEnhanced/StudyReordering on the same
 // circuit) reuse the generated patterns.
 func (e *Engine) Compare(ctx context.Context, c *netlist.Circuit) (*Comparison, error) {
-	return compareWith(ctx, c, e.Cfg, e.patterns, e.Hooks)
+	return e.CompareWith(ctx, c, e.Cfg)
 }
 
 // CompareWith is Compare under a per-call configuration override while
@@ -550,7 +405,9 @@ func (e *Engine) Compare(ctx context.Context, c *netlist.Circuit) (*Comparison, 
 // measurement backends — generate patterns once. The scanpowerd service
 // uses this to apply per-job Config overrides on one shared cache.
 func (e *Engine) CompareWith(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
-	return compareWith(ctx, c, cfg, e.patternsFor(cfg), e.Hooks)
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	return compareWith(ctx, c, cfg, e.patternsFor(cfg))
 }
 
 // CompareEnhanced runs the enhanced-scan extension through the cache.
@@ -607,15 +464,17 @@ func (e *Engine) Run(ctx context.Context, names []string) (<-chan Result, error)
 			defer wg.Done()
 			for i := range jobs {
 				r := Result{Index: i, Name: names[i]}
+				cctx, sc := e.scope(ctx, r.Name)
 				if err := ctx.Err(); err != nil {
 					r.Err = err
-				} else if c, err := Benchmark(names[i]); err != nil {
+				} else if c, err := Benchmark(r.Name); err != nil {
 					r.Err = err
 				} else {
-					r.Comparison, r.Err = e.Compare(ctx, c)
+					r.Comparison, r.Err = compareWith(cctx, c, e.Cfg, e.patternsFor(e.Cfg))
 				}
 				out <- r
-				e.Hooks.progress(r.Name, int(done.Add(1)), len(names))
+				sc.Emit(probe.Event{Kind: probe.Progress, N: int(done.Add(1)), Total: len(names)})
+				sc.Close()
 			}
 		}()
 	}

@@ -2,34 +2,8 @@ package scanpower
 
 import (
 	"context"
-	"io"
-	"runtime"
 	"testing"
 )
-
-// The acceptance benchmark for the Engine: the full 12-circuit Table I
-// through one worker versus a GOMAXPROCS pool. Each iteration uses a
-// fresh Engine so the pattern cache cannot hide generation cost; on a
-// 4-core runner the parallel run is expected to be ≥ 2× faster.
-//
-//	go test -run=NONE -bench=BenchmarkTableOne -benchtime=1x .
-
-func benchTable(b *testing.B, workers int) {
-	names := BenchmarkNames()
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := NewEngine(cfg)
-		eng.Workers = workers
-		if err := eng.WriteTable(context.Background(), io.Discard, names); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableOneSequential(b *testing.B) { benchTable(b, 1) }
-
-func BenchmarkTableOneParallel(b *testing.B) { benchTable(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkCompareCached measures the steady-state cost of a Compare once
 // the Engine's pattern cache is warm — the repeated-experiment case the

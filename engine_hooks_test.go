@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/atpg"
+	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
 
@@ -114,8 +115,9 @@ func TestStageHooksPairedOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	bal := newStageBalance()
-	if _, err := compareWith(context.Background(), c, DefaultConfig(),
-		directPatterns(DefaultConfig(), bal.hooks()), bal.hooks()); err != nil {
+	ctx, sc := probe.Open(context.Background(), bal.hooks().emit, c.Name)
+	defer sc.Close()
+	if _, err := compareWith(ctx, c, DefaultConfig(), directPatterns(DefaultConfig())); err != nil {
 		t.Fatal(err)
 	}
 	bal.check(t)

@@ -44,7 +44,7 @@ type EnhancedComparison struct {
 // v1 entry point it is context-first; pass context.Background() when no
 // cancellation is needed.
 func CompareEnhanced(ctx context.Context, c *netlist.Circuit, cfg Config) (*EnhancedComparison, error) {
-	return compareEnhancedWith(ctx, c, cfg, directPatterns(cfg, Hooks{}))
+	return compareEnhancedWith(ctx, c, cfg, directPatterns(cfg))
 }
 
 // compareEnhancedWith is CompareEnhanced over an explicit pattern source
@@ -115,7 +115,7 @@ func (r *ReorderingStudy) BestDynamicGain() float64 {
 // point it is context-first; pass context.Background() when no
 // cancellation is needed.
 func StudyReordering(ctx context.Context, c *netlist.Circuit, cfg Config, structure string) (*ReorderingStudy, error) {
-	return studyReorderingWith(ctx, c, cfg, structure, directPatterns(cfg, Hooks{}))
+	return studyReorderingWith(ctx, c, cfg, structure, directPatterns(cfg))
 }
 
 // studyReorderingWith is StudyReordering over an explicit pattern source

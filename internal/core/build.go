@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/scan"
 	"repro/internal/timing"
 )
@@ -48,11 +48,14 @@ func Build(c *netlist.Circuit, opts Options) (*Solution, error) {
 // BuildContext is Build with cancellation: the justification search
 // checks ctx between decisions and the main blocking loop between target
 // gates, so a pathological circuit can be abandoned mid-flow. The
-// returned error is ctx.Err() when the context ends the run.
+// returned error is ctx.Err() when the context ends the run. The
+// phases, justification attempts and Monte-Carlo batches are reported to
+// ctx's probe scope.
 func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sc := probe.From(ctx)
 	if !c.Frozen() {
 		return nil, fmt.Errorf("core: circuit %s must be frozen", c.Name)
 	}
@@ -105,15 +108,9 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 	// finder below sees the same draws.
 	var ob *obs.Observability
 	if opts.ObsDirected {
-		doneObs := opts.Observe.phaseTimer("observability")
-		po := obs.PackedOpts{OnSamples: opts.Observe.OnObsSamples}
-		if mcb := opts.Observe.OnMCBatch; mcb != nil {
-			po.OnBatch = func(lanes int, elapsed time.Duration) {
-				mcb("obs", lanes, elapsed)
-			}
-		}
+		doneObs := sc.Phase("observability")
 		var err error
-		ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, po)
+		ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, obs.PackedOpts{})
 		doneObs()
 		if err != nil {
 			return nil, err
@@ -122,8 +119,8 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 
 	// Step 2: FindControlledInputPattern.
 	f := newFinder(work, &opts, muxable, ob, rng)
-	f.ctx = ctx
-	doneBlock := opts.Observe.phaseTimer("blocking")
+	f.ctx, f.probe = ctx, sc
+	doneBlock := sc.Phase("blocking")
 	f.run()
 	doneBlock()
 	if f.err != nil {
@@ -138,7 +135,7 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 		}
 	}
 	sol.Stats.AssignedInputs = assignedBeforeFill
-	doneFill := opts.Observe.phaseTimer("fill")
+	doneFill := sc.Phase("fill")
 	sol.Stats.FilledInputs = f.fill()
 	doneFill()
 	f.classify()
@@ -146,7 +143,7 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 
 	// Step 3: gate input reordering under the scan-mode state.
 	if opts.ReorderInputs {
-		doneReorder := opts.Observe.phaseTimer("reorder")
+		doneReorder := sc.Phase("reorder")
 		sol.Stats.ReorderedGates = ReorderInputs(work, f.val, opts.Leak)
 		f.imply() // values are unchanged, but recompute for cleanliness
 		f.classify()

@@ -22,10 +22,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/leakage"
-	"repro/internal/netlist"
 	"repro/internal/power"
 	"repro/internal/timing"
 )
@@ -57,47 +54,9 @@ type Options struct {
 	// Seed makes the randomized pieces reproducible.
 	Seed int64
 
-	// Observe receives fine-grained flow telemetry; the zero value is
-	// free. Excluded from JSON so Options summaries stay marshalable.
-	Observe Observer `json:"-"`
-
 	Delay timing.DelayModel
 	Leak  *leakage.Model
 	Cap   power.CapModel
-}
-
-// Observer receives fine-grained telemetry from Build. Every field is
-// optional; emission sites are single nil checks, so the zero Observer
-// adds no work to the justification hot loop.
-type Observer struct {
-	// OnJustify fires after each justification attempt of the blocking
-	// search: the target net, whether a blocking assignment was committed,
-	// and the backtracks the branch-and-bound spent.
-	OnJustify func(target netlist.NetID, success bool, backtracks int)
-	// OnObsSamples fires as the Monte-Carlo observability estimate
-	// progresses, with the number of vectors simulated since the last
-	// call.
-	OnObsSamples func(n int)
-	// OnPhase fires when a flow phase completes: "observability",
-	// "blocking", "fill", or "reorder".
-	OnPhase func(phase string, elapsed time.Duration)
-	// OnMCBatch fires once per 256-lane batch evaluated by a packed
-	// Monte-Carlo kernel: kind is "obs" or "fill", lanes the vectors (or
-	// fill trials) the batch carried, elapsed its evaluation wall time.
-	// Called from a single goroutine per kernel run.
-	OnMCBatch func(kind string, lanes int, elapsed time.Duration)
-}
-
-// phaseTimer returns a stopper for the named phase, or a no-op when
-// OnPhase is unset (the no-op literal captures nothing).
-func (o Observer) phaseTimer(phase string) func() {
-	if o.OnPhase == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() {
-		o.OnPhase(phase, time.Since(start))
-	}
 }
 
 // ProposedOptions returns the full proposed flow of the paper.

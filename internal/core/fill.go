@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -197,7 +198,6 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 	// Reduce in ascending trial order — the scalar tie-break.
 	bestLeak := 0.0
 	bestTrial := 0
-	mcb := f.opts.Observe.OnMCBatch
 	for wi := 0; wi < nBatches; wi++ {
 		cyc := scratch.cycs[wi]
 		for t := 0; t < scratch.lanes[wi]; t++ {
@@ -207,9 +207,7 @@ func (f *finder) fillPacked(unassigned []netlist.NetID, trials int) []logic.Valu
 				bestTrial = trial
 			}
 		}
-		if mcb != nil {
-			mcb("fill", scratch.lanes[wi], scratch.span[wi])
-		}
+		f.probe.Emit(probe.Event{Kind: probe.MCBatch, Name: "fill", N: scratch.lanes[wi], Elapsed: scratch.span[wi]})
 	}
 	for i := range unassigned {
 		w := cand[i*nWords+bestTrial>>6]

@@ -8,6 +8,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 // finder carries the state of FindControlledInputPattern: the controlled
@@ -38,6 +39,8 @@ type finder struct {
 	// err records the context error that stopped it.
 	ctx context.Context
 	err error
+	// probe is ctx's probe scope, resolved once for the hot loops.
+	probe *probe.Scope
 }
 
 // cancelled checks the optional context and latches its error.

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/probe"
 )
 
 // justify tries to force net target to value want by assigning controlled
@@ -20,9 +21,7 @@ func (f *finder) justify(target netlist.NetID, want logic.Value) bool {
 	var touched []netlist.NetID
 	backtracks := 0
 	done := func(ok bool) bool {
-		if f.opts.Observe.OnJustify != nil {
-			f.opts.Observe.OnJustify(target, ok, backtracks)
-		}
+		f.probe.Emit(probe.Event{Kind: probe.Justify, OK: ok, Backtracks: backtracks})
 		return ok
 	}
 	rollback := func() {

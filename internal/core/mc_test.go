@@ -4,12 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 // fillScalar is the serial reference kernel of the minimum-leakage fill,
@@ -145,35 +145,43 @@ func TestBuildObsDeadline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := ProposedOptions()
 	opts.ObsSamples = 1 << 20
-	opts.Observe.OnObsSamples = func(int) { cancel() }
+	ctx, _ = probe.Open(ctx, func(_ *probe.Scope, ev probe.Event) {
+		if ev.Kind == probe.Samples {
+			cancel()
+		}
+	}, c.Name)
 	sol, err := BuildContext(ctx, c, opts)
 	if err != context.Canceled {
 		t.Errorf("BuildContext = (%v, %v), want context.Canceled", sol, err)
 	}
 }
 
-// TestMCBatchTelemetry: every Monte-Carlo batch must surface through
-// Observer.OnMCBatch, with lane totals accounting for every observability
-// vector and every fill trial exactly once.
+// TestMCBatchTelemetry: every Monte-Carlo batch must surface as an MCBatch
+// probe event, with lane totals accounting for every observability vector
+// and every fill trial exactly once.
 func TestMCBatchTelemetry(t *testing.T) {
 	c := mappedS27(t)
 	opts := ProposedOptions()
 	opts.ObsSamples = 300
 	opts.FillTrials = 100
 	laneTotal := map[string]int{}
-	opts.Observe.OnMCBatch = func(kind string, lanes int, elapsed time.Duration) {
+	ctx, _ := probe.Open(context.Background(), func(_ *probe.Scope, ev probe.Event) {
+		if ev.Kind != probe.MCBatch {
+			return
+		}
+		kind, lanes := ev.Name, ev.N
 		if kind != "obs" && kind != "fill" {
 			t.Errorf("unknown MC batch kind %q", kind)
 		}
 		if lanes < 1 || lanes > 256 {
 			t.Errorf("%s batch carries %d lanes", kind, lanes)
 		}
-		if elapsed < 0 {
+		if ev.Elapsed < 0 {
 			t.Errorf("%s batch has negative elapsed", kind)
 		}
 		laneTotal[kind] += lanes
-	}
-	sol, err := Build(c, opts)
+	}, c.Name)
+	sol, err := BuildContext(ctx, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

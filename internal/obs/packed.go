@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/leakage"
 	"repro/internal/netlist"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -16,14 +17,6 @@ import (
 type PackedOpts struct {
 	// Workers bounds the evaluation pool; values < 1 mean GOMAXPROCS.
 	Workers int
-	// OnSamples, when non-nil, receives the number of vectors folded into
-	// the estimate since its previous call — once per packed batch, from
-	// the reducing goroutine, so it need not be safe for concurrent use.
-	OnSamples func(n int)
-	// OnBatch, when non-nil, fires once per packed batch with its lane
-	// count and evaluation wall time, also from the reducing goroutine.
-	// It feeds the telemetry layer's mc-batch spans and lane counters.
-	OnBatch func(lanes int, elapsed time.Duration)
 }
 
 // estSlot is one in-flight batch: inputs drawn serially on the main
@@ -90,7 +83,9 @@ func (s *estScratch) ensure(window, workers int) {
 // only ever evaluate; they never touch the global accumulators.
 //
 // ctx is checked before every batch is drawn and before every fold, so a
-// job deadline aborts the estimate promptly with ctx's error.
+// job deadline aborts the estimate promptly with ctx's error. Each folded
+// batch is reported to ctx's probe scope, from the folding goroutine, as
+// a Samples event followed by an "obs" MCBatch event.
 func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, samples int,
 	rng *rand.Rand, opts PackedOpts) (*Observability, error) {
 
@@ -99,6 +94,7 @@ func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, 
 	if samples <= 0 {
 		samples = 128
 	}
+	sc := probe.From(ctx)
 	nNets := c.NumNets()
 	sum1 := make([]float64, nNets)
 	cnt1 := make([]int, nNets)
@@ -226,12 +222,8 @@ func EstimatePacked(ctx context.Context, c *netlist.Circuit, lm *leakage.Model, 
 				sumAll += s.cyc[t]
 			}
 			leakage.AccumLineLeakPackedW(s.words, ww, s.n, s.cyc, sum1, cnt1)
-			if opts.OnSamples != nil {
-				opts.OnSamples(s.n)
-			}
-			if opts.OnBatch != nil {
-				opts.OnBatch(s.n, s.elapsed)
-			}
+			sc.Emit(probe.Event{Kind: probe.Samples, N: s.n})
+			sc.Emit(probe.Event{Kind: probe.MCBatch, Name: "obs", N: s.n, Elapsed: s.elapsed})
 		}
 	}
 	return finish(nNets, samples, sumAll, sum1, cnt1), nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -95,25 +96,31 @@ func TestMCPackedObsTelemetry(t *testing.T) {
 	c := testCircuit(t)
 	const samples = 600
 	total, batches, lanes := 0, 0, 0
-	_, err := EstimatePacked(context.Background(), c, leakage.Default(), samples,
-		rand.New(rand.NewSource(8)), PackedOpts{
-			OnSamples: func(n int) { total += n },
-			OnBatch: func(n int, _ time.Duration) {
-				batches++
-				lanes += n
-				if n < 1 || n > sim.WideLanes {
-					t.Errorf("batch of %d lanes", n)
-				}
-			},
-		})
+	ctx, _ := probe.Open(context.Background(), func(_ *probe.Scope, ev probe.Event) {
+		switch ev.Kind {
+		case probe.Samples:
+			total += ev.N
+		case probe.MCBatch:
+			if ev.Name != "obs" {
+				t.Errorf("MC batch kind %q, want obs", ev.Name)
+			}
+			batches++
+			lanes += ev.N
+			if ev.N < 1 || ev.N > sim.WideLanes {
+				t.Errorf("batch of %d lanes", ev.N)
+			}
+		}
+	}, c.Name)
+	_, err := EstimatePacked(ctx, c, leakage.Default(), samples,
+		rand.New(rand.NewSource(8)), PackedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != samples || lanes != samples {
-		t.Errorf("OnSamples %d / OnBatch lanes %d, want %d", total, lanes, samples)
+		t.Errorf("Samples %d / MCBatch lanes %d, want %d", total, lanes, samples)
 	}
 	if want := (samples + sim.WideLanes - 1) / sim.WideLanes; batches != want {
-		t.Errorf("OnBatch fired %d times, want %d", batches, want)
+		t.Errorf("MCBatch fired %d times, want %d", batches, want)
 	}
 }
 
@@ -139,11 +146,14 @@ func TestEstimateDeadline(t *testing.T) {
 	}
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
+	ctx2, _ = probe.Open(ctx2, func(_ *probe.Scope, ev probe.Event) {
+		if ev.Kind == probe.Samples {
+			calls++
+			cancel2()
+		}
+	}, c.Name)
 	calls = 0
-	_, err = EstimatePacked(ctx2, c, lm, 1<<20, rand.New(rand.NewSource(1)), PackedOpts{
-		Workers:   2,
-		OnSamples: func(int) { calls++; cancel2() },
-	})
+	_, err = EstimatePacked(ctx2, c, lm, 1<<20, rand.New(rand.NewSource(1)), PackedOpts{Workers: 2})
 	if err != context.Canceled {
 		t.Errorf("packed: err = %v, want context.Canceled", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/leakage"
+	"repro/internal/probe"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
@@ -28,12 +29,15 @@ func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftCo
 	return MeasureScanPackedOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
 }
 
-// MeasureScanPackedOpts is MeasureScanPacked with accounting options.
+// MeasureScanPackedOpts is MeasureScanPacked with accounting options. It
+// reports each packed batch and each measured pattern to the probe scope
+// opts.Ctx carries.
 func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
 
 	const lanes, ww = sim.WideLanes, sim.WideWords
 
+	sc := probe.From(opts.Ctx)
 	c := ch.Circuit()
 	prog := sim.Compile(c)
 	loads := cm.NetLoads(c)
@@ -71,6 +75,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		cycles         int
 		leakSum        float64
 		leakCycles     int
+		pattern        int // index of the pattern being captured
 	)
 
 	// flush evaluates the batched lanes and folds them into the running
@@ -147,9 +152,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		for i := range ppiW {
 			ppiW[i] = 0
 		}
-		if opts.OnBatch != nil {
-			opts.OnBatch(n, time.Since(start))
-		}
+		sc.Emit(probe.Event{Kind: probe.MeasureBatch, N: n, Elapsed: time.Since(start)})
 	}
 
 	observe := func(pi, ppi []bool) {
@@ -169,7 +172,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	hooks := scan.Hooks{
 		ShiftCycle: observe,
 		Stop:       opts.stopHook(),
-		Capture: opts.patternHook(func(pi, ppi []bool) []bool {
+		Capture: func(pi, ppi []bool) []bool {
 			if opts.IncludeCapture {
 				observe(pi, ppi)
 			}
@@ -187,8 +190,10 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 			for i, ff := range c.FFs {
 				next[i] = vals[ff.D]&1 != 0
 			}
+			sc.Emit(probe.Event{Kind: probe.Pattern, N: pattern})
+			pattern++
 			return next
-		}),
+		},
 	}
 	if err := ch.Run(patterns, cfg, hooks); err != nil {
 		return Report{}, err

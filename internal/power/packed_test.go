@@ -4,12 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/iscas"
 	"repro/internal/leakage"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/probe"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
@@ -138,8 +138,9 @@ func TestMeasureScanPackedEmptyAndErrors(t *testing.T) {
 	}
 }
 
-// TestMeasureScanPackedHooks: OnPattern fires once per pattern in order,
-// and the OnBatch lane counts sum to the number of observed cycles.
+// TestMeasureScanPackedHooks: a Pattern event fires once per pattern in
+// order, and the MeasureBatch lane counts sum to the number of observed
+// cycles.
 func TestMeasureScanPackedHooks(t *testing.T) {
 	p, _ := iscas.ByName("s344")
 	c, err := iscas.Generate(p)
@@ -150,35 +151,37 @@ func TestMeasureScanPackedHooks(t *testing.T) {
 	var patIdx []int
 	lanes := 0
 	batches := 0
-	opts := MeasureOptions{
-		OnPattern: func(i int) { patIdx = append(patIdx, i) },
-		OnBatch: func(n int, _ time.Duration) {
-			lanes += n
+	ctx, _ := probe.Open(context.Background(), func(_ *probe.Scope, ev probe.Event) {
+		switch ev.Kind {
+		case probe.Pattern:
+			patIdx = append(patIdx, ev.N)
+		case probe.MeasureBatch:
+			lanes += ev.N
 			batches++
-			if n < 1 || n > sim.WideLanes {
-				t.Errorf("batch of %d lanes", n)
+			if ev.N < 1 || ev.N > sim.WideLanes {
+				t.Errorf("batch of %d lanes", ev.N)
 			}
-		},
-	}
+		}
+	}, c.Name)
 	rep, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
-		leakage.Default(), DefaultCapModel(), opts)
+		leakage.Default(), DefaultCapModel(), MeasureOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(patIdx) != len(pats) {
-		t.Fatalf("OnPattern fired %d times, want %d", len(patIdx), len(pats))
+		t.Fatalf("Pattern fired %d times, want %d", len(patIdx), len(pats))
 	}
 	for i, got := range patIdx {
 		if got != i {
-			t.Errorf("OnPattern[%d] = %d", i, got)
+			t.Errorf("Pattern[%d] = %d", i, got)
 		}
 	}
 	// Observed cycles = counted transitions + the priming observation.
 	if want := rep.Cycles + 1; lanes != want {
-		t.Errorf("OnBatch lanes sum = %d, want %d", lanes, want)
+		t.Errorf("MeasureBatch lanes sum = %d, want %d", lanes, want)
 	}
 	if wantMin := (rep.Cycles + 1 + sim.WideLanes - 1) / sim.WideLanes; batches < wantMin || batches < 2 {
-		t.Errorf("OnBatch fired %d times, want >= max(2, %d)", batches, wantMin)
+		t.Errorf("MeasureBatch fired %d times, want >= max(2, %d)", batches, wantMin)
 	}
 }
 

@@ -13,7 +13,6 @@ package power
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/leakage"
 	"repro/internal/logic"
@@ -123,33 +122,9 @@ type MeasureOptions struct {
 	// first of the next is always counted once.
 	IncludeCapture bool
 	// Ctx, when non-nil, is checked between patterns; a done context
-	// aborts the measurement with its error.
+	// aborts the measurement with its error. MeasureScanPackedOpts reports
+	// each pattern and packed batch to the probe scope Ctx carries.
 	Ctx context.Context `json:"-"`
-	// OnPattern, when non-nil, fires after each pattern's capture with the
-	// zero-based pattern index — the per-pattern progress feed of the
-	// telemetry layer. A nil OnPattern adds no work.
-	OnPattern func(index int) `json:"-"`
-	// OnBatch, when non-nil, fires after each packed batch of lanes is
-	// evaluated, with the number of cycles packed into the batch and the
-	// wall time the batch took. Only MeasureScanPacked emits it; the
-	// serial reference MeasureScan never calls it.
-	OnBatch func(lanes int, elapsed time.Duration) `json:"-"`
-}
-
-// patternHook wraps a capture function so OnPattern fires once per
-// applied pattern; with OnPattern unset the capture function is returned
-// untouched.
-func (o MeasureOptions) patternHook(capture func(pi, ppi []bool) []bool) func(pi, ppi []bool) []bool {
-	if o.OnPattern == nil {
-		return capture
-	}
-	idx := 0
-	return func(pi, ppi []bool) []bool {
-		next := capture(pi, ppi)
-		o.OnPattern(idx)
-		idx++
-		return next
-	}
 }
 
 // stopHook converts the optional context into a scan.Hooks Stop check.
@@ -197,7 +172,7 @@ func MeasureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConf
 
 	hooks := scan.Hooks{
 		ShiftCycle: func(pi, ppi []bool) { observe(pi, ppi) },
-		Capture: opts.patternHook(func(pi, ppi []bool) []bool {
+		Capture: func(pi, ppi []bool) []bool {
 			var st []bool
 			if opts.IncludeCapture {
 				st = observe(pi, ppi)
@@ -209,7 +184,7 @@ func MeasureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConf
 				next[i] = st[ff.D]
 			}
 			return next
-		}),
+		},
 		Stop: opts.stopHook(),
 	}
 	if err := ch.Run(patterns, cfg, hooks); err != nil {

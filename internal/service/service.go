@@ -752,8 +752,8 @@ func (s *Service) runJob(j *Job) {
 	}
 	s.mu.Unlock()
 	j.cancel()
-	// Close the circuit's trace span now that its job is settled; an
-	// Engine.Run progress feed would otherwise do this.
+	// Count the job's circuit; its trace span closed when the Compare
+	// returned, as an Engine.Run progress feed would count it.
 	s.rec.FinishCircuit(j.Circuit)
 }
 

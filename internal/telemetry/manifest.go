@@ -16,7 +16,7 @@ const ManifestSchema = "scanpower/run-manifest/v1"
 // Manifest is the machine-readable record of one experiment run: the
 // environment it ran in, what it was configured to do, how long every
 // per-circuit stage took, the metric snapshot, and the rendered results.
-// It is the payload of the BENCH_<date>.json perf-trajectory files.
+// tableone -manifest and scanpowerd -manifest write it.
 type Manifest struct {
 	Schema    string    `json:"schema"`
 	Label     string    `json:"label,omitempty"`

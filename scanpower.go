@@ -54,6 +54,7 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/netlist"
 	"repro/internal/power"
+	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/scan"
 	"repro/internal/techmap"
@@ -192,14 +193,13 @@ func (c *Comparison) StaticImprovementVsInputControl() float64 {
 // experiment aborts promptly with ctx's error when cancelled. Matching
 // failures wrap ErrNotMapped.
 func Compare(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
-	return compareWith(ctx, c, cfg, directPatterns(cfg, Hooks{}), Hooks{})
+	return compareWith(ctx, c, cfg, directPatterns(cfg))
 }
 
 // compareWith is the shared Table I pipeline: gen supplies the patterns
-// (the Engine's memoized layer, or the direct generator), hooks observe
-// the measurement stages.
-func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
-	gen patternSource, hooks Hooks) (*Comparison, error) {
+// (the Engine's memoized layer, or the direct generator), and every stage
+// reports to the probe scope ctx carries.
+func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config, gen patternSource) (*Comparison, error) {
 
 	if !techmap.IsMapped(c, 4) {
 		return nil, fmt.Errorf("scanpower: circuit %s: %w; call Prepare", c.Name, ErrNotMapped)
@@ -218,24 +218,24 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 		Patterns:      len(res.Patterns),
 		FaultCoverage: res.Coverage(),
 	}
-	// stage runs one structure's build+measure under a guaranteed
-	// start/done pair: the done callback fires on the error paths too
-	// (with Failed set), so span accounting stays balanced however the
+	// stage runs one structure's build+measure in a stage scope under a
+	// guaranteed start/done pair: the done event fires on the error paths
+	// too (with Failed set), so span accounting stays balanced however the
 	// experiment ends.
-	stage := func(name string, body func() error) error {
-		hooks.stageStart(c.Name, name)
+	stage := func(name string, body func(ctx context.Context) error) error {
+		ctx, sc := probe.Stage(ctx, name)
 		start := time.Now()
-		err := body()
-		hooks.stageDone(c.Name, name, time.Since(start),
-			StageInfo{Patterns: len(res.Patterns), Failed: err != nil})
+		err := body(ctx)
+		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
+			Patterns: len(res.Patterns), Failed: err != nil})
 		return err
 	}
 
 	// Traditional scan.
-	if err := stage(StageTraditional, func() error {
+	if err := stage(StageTraditional, func(ctx context.Context) error {
 		var err error
 		cmp.Traditional, err = power.MeasureScanPackedOpts(scan.New(c), res.Patterns, scan.Traditional(c),
-			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageTraditional))
+			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 		return err
 	}); err != nil {
 		return nil, err
@@ -243,17 +243,15 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 
 	// Input-control baseline.
 	var icSol *core.Solution
-	if err := stage(StageInputControl, func() error {
-		icOpts := cfg.InputControl
-		icOpts.Observe = hooks.coreObserver(c.Name, StageInputControl)
+	if err := stage(StageInputControl, func(ctx context.Context) error {
 		var err error
-		icSol, err = core.BuildContext(ctx, c, icOpts)
+		icSol, err = core.BuildContext(ctx, c, cfg.InputControl)
 		if err != nil {
 			return fmt.Errorf("scanpower: input-control build: %w", err)
 		}
 		cmp.InputControlStats = icSol.Stats
 		cmp.InputControl, err = power.MeasureScanPackedOpts(scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
-			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageInputControl))
+			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 		return err
 	}); err != nil {
 		return nil, err
@@ -261,17 +259,15 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 
 	// Proposed structure.
 	var sol *core.Solution
-	if err := stage(StageProposed, func() error {
-		propOpts := cfg.Proposed
-		propOpts.Observe = hooks.coreObserver(c.Name, StageProposed)
+	if err := stage(StageProposed, func(ctx context.Context) error {
 		var err error
-		sol, err = core.BuildContext(ctx, c, propOpts)
+		sol, err = core.BuildContext(ctx, c, cfg.Proposed)
 		if err != nil {
 			return fmt.Errorf("scanpower: proposed build: %w", err)
 		}
 		cmp.ProposedStats = sol.Stats
 		cmp.Proposed, err = power.MeasureScanPackedOpts(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
-			cfg.Leak, cfg.Cap, hooks.measureOptions(ctx, c.Name, StageProposed))
+			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 		return err
 	}); err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
-// Command loadsmoke is the `make loadsmoke` / `make bench-cluster`
-// driver: it builds scanpowerd and loadgen, boots a real local cluster
-// and proves the sharded-service contract end to end —
+// Command loadsmoke is the `make loadsmoke` driver: it builds scanpowerd
+// and loadgen, boots a real local cluster and proves the sharded-service
+// contract end to end —
 //
 //   - phase A: a single node (-workers 1) takes cold-only traffic for a
 //     baseline throughput T1;
@@ -16,8 +16,8 @@
 //   - finally every node drains cleanly on SIGTERM (exit 0).
 //
 // With -out it writes the whole run as a scanpower/cluster-bench/v1
-// JSON document (the payload of `make bench-cluster`). -short shrinks
-// the traffic windows for the tier-1 gate.
+// JSON document; without -short it is the full-length run. -short
+// shrinks the traffic windows for the tier-1 gate.
 //
 // It exits non-zero on the first violated expectation.
 package main

@@ -2,10 +2,10 @@ package scanpower
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
-	"sync"
-
+	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
 
@@ -37,14 +37,16 @@ const (
 	MetricMCLanes = "scanpower_mc_packed_lanes_total"
 )
 
-// Recorder bridges Hooks to the telemetry substrate: it aggregates the
-// callback stream into registry metrics, emits the run → circuit → stage
-// → sub-stage span hierarchy to a TraceWriter, and accumulates the
-// per-circuit stage record a run manifest embeds. Either sink may be nil:
-// a nil registry drops metrics, a nil trace writer drops spans, and the
+// Recorder bridges the Engine's event stream to the telemetry substrate:
+// it aggregates the events into registry metrics, emits the run → circuit
+// → stage → sub-stage span hierarchy to a TraceWriter, and accumulates
+// the per-circuit stage record a run manifest embeds. It keys every
+// record by the circuit's probe scope, one per Compare, so concurrent
+// runs of same-named circuits stay apart. Either sink may be nil: a nil
+// registry drops metrics, a nil trace writer drops spans, and the
 // manifest record is kept regardless.
 //
-// Use it by merging its Hooks into an Engine (or compare call):
+// Use it by attaching its Hooks to an Engine, merged with any others:
 //
 //	rec := scanpower.NewRecorder(reg, tw)
 //	eng.Hooks = scanpower.MergeHooks(progressHooks, rec.Hooks())
@@ -73,17 +75,17 @@ type Recorder struct {
 	faultSimLanes          *telemetry.Counter
 
 	mu       sync.Mutex
-	circuits map[string]*circuitRecord
+	circuits map[*probe.Scope]*circuitRecord // in flight, by circuit scope
 	done     []telemetry.CircuitManifest
 }
 
-// circuitRecord is the in-flight state of one circuit: its open span, the
-// stacked open stage spans (keyed by stage name — pairs always balance,
-// but ATPG may run under another circuit's worker via the shared cache),
-// and the accumulating manifest entry.
+// circuitRecord is the in-flight state of one circuit scope — one Compare,
+// so two concurrent runs of same-named circuits never share a record: its
+// open span, the open stage spans by stage scope, and the accumulating
+// manifest entry.
 type circuitRecord struct {
 	span     *telemetry.Span
-	stages   map[string][]*telemetry.Span
+	stages   map[*probe.Scope]*telemetry.Span
 	manifest telemetry.CircuitManifest
 }
 
@@ -114,59 +116,118 @@ func NewRecorder(reg *telemetry.Registry, tw *telemetry.TraceWriter) *Recorder {
 		mcLanes:           reg.Counter(MetricMCLanes),
 		faultSimLanes:     reg.Counter(MetricATPGFaultSimLanes),
 
-		circuits: make(map[string]*circuitRecord),
+		circuits: make(map[*probe.Scope]*circuitRecord),
 	}
 	r.run = tw.Start("run", nil)
 	return r
 }
 
-// Hooks returns the callback set feeding this Recorder; merge it with any
+// Hooks returns the hook set feeding this Recorder; merge it with any
 // other hooks via MergeHooks.
 func (r *Recorder) Hooks() Hooks {
-	return Hooks{
-		OnStageStart:    r.onStageStart,
-		OnStageDone:     r.onStageDone,
-		OnProgress:      r.onProgress,
-		OnSubStage:      r.onSubStage,
-		OnPodemFault:    r.onPodemFault,
-		OnJustify:       r.onJustify,
-		OnObsSamples:    r.onObsSamples,
-		OnPattern:       r.onPattern,
-		OnMeasureBatch:  r.onMeasureBatch,
-		OnMCBatch:       r.onMCBatch,
-		OnFaultSimBatch: r.onFaultSimBatch,
-		OnPodemChunk:    r.onPodemChunk,
-	}
+	return Hooks{sink: r.emit}
 }
 
-// circuit returns (creating on first touch) the in-flight record, opening
-// the circuit span lazily under the run span. Callers hold r.mu.
-func (r *Recorder) circuit(name string) *circuitRecord {
-	cr, ok := r.circuits[name]
+// emit folds one event into the metrics, the span tree and the manifest.
+func (r *Recorder) emit(sc *probe.Scope, ev probe.Event) {
+	switch ev.Kind {
+	case probe.StageStart:
+		r.mu.Lock()
+		cr := r.circuit(sc)
+		cr.stages[sc] = cr.span.Start(sc.Stage, nil)
+		r.mu.Unlock()
+		return
+	case probe.StageDone:
+		r.stageDone(sc, ev)
+		return
+	case probe.Progress:
+		r.circuitsDone.Inc()
+		return
+	case probe.Closed:
+		r.mu.Lock()
+		r.finishLocked(sc.Root())
+		r.mu.Unlock()
+		return
+	case probe.PodemFault:
+		if c, ok := r.podemByOutcome[ev.Outcome]; ok {
+			c.Inc()
+		}
+		r.podemBacktracks.Observe(float64(ev.Backtracks))
+		return
+	case probe.Justify:
+		if ev.OK {
+			r.justifyOK.Inc()
+		} else {
+			r.justifyFail.Inc()
+		}
+		r.justifyBacktracks.Observe(float64(ev.Backtracks))
+		return
+	case probe.Samples:
+		r.obsSamples.Add(int64(ev.N))
+		return
+	case probe.Pattern:
+		r.patterns.Inc()
+		return
+	case probe.SubStage:
+		r.reg.Histogram(fmt.Sprintf(MetricSubStageSeconds+`{stage=%q,sub=%q}`, sc.Stage, ev.Name), nil).
+			Observe(ev.Elapsed.Seconds())
+	case probe.MeasureBatch:
+		r.packedLanes.Add(int64(ev.N))
+	case probe.MCBatch:
+		r.mcLanes.Add(int64(ev.N))
+	case probe.FaultSimBatch:
+		r.faultSimLanes.Add(int64(ev.N))
+	}
+	if r.tw == nil {
+		return
+	}
+
+	// The rest become one completed span each under the owning stage.
+	name, attrs := ev.Name, map[string]any{"stage": sc.Stage}
+	switch ev.Kind {
+	case probe.SubStage:
+	case probe.MeasureBatch:
+		name, attrs["lanes"] = "measure-batch", ev.N
+	case probe.MCBatch:
+		name, attrs["kind"], attrs["lanes"] = "mc-batch", ev.Name, ev.N
+	case probe.FaultSimBatch:
+		name, attrs["kind"], attrs["lanes"] = "faultsim-batch", ev.Name, ev.N
+	case probe.PodemChunk:
+		name, attrs["start"], attrs["faults"] = "podem-chunk", ev.Start, ev.N
+	default:
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cr := r.circuit(sc)
+	parent := cr.stages[sc]
+	if parent == nil {
+		parent = cr.span
+	}
+	parent.Completed(name, ev.Elapsed, attrs)
+}
+
+// circuit returns (creating on first touch) the in-flight record of sc's
+// circuit scope, opening the circuit span lazily under the run span.
+// Callers hold r.mu.
+func (r *Recorder) circuit(sc *probe.Scope) *circuitRecord {
+	cr, ok := r.circuits[sc.Root()]
 	if !ok {
 		cr = &circuitRecord{
-			span:   r.run.Start(name, map[string]any{"kind": "circuit"}),
-			stages: make(map[string][]*telemetry.Span),
+			span:   r.run.Start(sc.Circuit, map[string]any{"kind": "circuit"}),
+			stages: make(map[*probe.Scope]*telemetry.Span),
 		}
-		cr.manifest.Name = name
-		r.circuits[name] = cr
+		cr.manifest.Name = sc.Circuit
+		r.circuits[sc.Root()] = cr
 	}
 	return cr
 }
 
-func (r *Recorder) onStageStart(circuit, stage string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	s := cr.span.Start(stage, nil)
-	cr.stages[stage] = append(cr.stages[stage], s)
-}
-
-func (r *Recorder) onStageDone(circuit, stage string, elapsed time.Duration, info StageInfo) {
-	r.reg.Histogram(fmt.Sprintf(MetricStageSeconds+`{stage=%q}`, stage), nil).
-		Observe(elapsed.Seconds())
-	if stage == StageATPG {
-		if info.CacheHit {
+func (r *Recorder) stageDone(sc *probe.Scope, ev probe.Event) {
+	r.reg.Histogram(fmt.Sprintf(MetricStageSeconds+`{stage=%q}`, sc.Stage), nil).
+		Observe(ev.Elapsed.Seconds())
+	if sc.Stage == StageATPG {
+		if ev.CacheHit {
 			r.cacheHits.Inc()
 		} else {
 			r.cacheMisses.Inc()
@@ -175,15 +236,15 @@ func (r *Recorder) onStageDone(circuit, stage string, elapsed time.Duration, inf
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	if st := cr.stages[stage]; len(st) > 0 {
-		s := st[len(st)-1]
-		cr.stages[stage] = st[:len(st)-1]
+	cr := r.circuit(sc)
+	info := StageInfo{Patterns: ev.Patterns, Backtracks: ev.Backtracks, CacheHit: ev.CacheHit, Failed: ev.Failed}
+	if s := cr.stages[sc]; s != nil {
+		delete(cr.stages, sc)
 		s.End(stageAttrs(info))
 	}
 	cr.manifest.Stages = append(cr.manifest.Stages, telemetry.StageManifest{
-		Stage:      stage,
-		WallNS:     elapsed.Nanoseconds(),
+		Stage:      sc.Stage,
+		WallNS:     ev.Elapsed.Nanoseconds(),
 		Patterns:   info.Patterns,
 		Backtracks: info.Backtracks,
 		CacheHit:   info.CacheHit,
@@ -204,152 +265,25 @@ func stageAttrs(info StageInfo) map[string]any {
 	return attrs
 }
 
-// onMeasureBatch counts bit-parallel lanes and, when tracing, emits one
-// completed span per packed batch under the owning stage span.
-func (r *Recorder) onMeasureBatch(circuit, stage string, lanes int, elapsed time.Duration) {
-	r.packedLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("measure-batch", elapsed, map[string]any{"stage": stage, "lanes": lanes})
-}
-
-// onMCBatch counts packed Monte-Carlo lanes and, when tracing, emits one
-// completed span per batch under the owning stage span, tagged with the
-// kernel kind ("obs" or "fill").
-func (r *Recorder) onMCBatch(circuit, stage, kind string, lanes int, elapsed time.Duration) {
-	r.mcLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("mc-batch", elapsed, map[string]any{
-		"stage": stage, "kind": kind, "lanes": lanes,
-	})
-}
-
-// onFaultSimBatch counts packed fault-simulation lanes and, when tracing,
-// emits one completed span per fault-dropping pass under the ATPG stage
-// span, tagged with the pass kind ("drop" or "compact").
-func (r *Recorder) onFaultSimBatch(circuit, kind string, lanes int, elapsed time.Duration) {
-	r.faultSimLanes.Add(int64(lanes))
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[StageATPG]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("faultsim-batch", elapsed, map[string]any{
-		"stage": StageATPG, "kind": kind, "lanes": lanes,
-	})
-}
-
-// onPodemChunk emits one completed span per fault-parallel PODEM chunk
-// under the ATPG stage span. It arrives concurrently from scheduler
-// workers; r.mu makes it safe like every other handler.
-func (r *Recorder) onPodemChunk(circuit string, start, n int, elapsed time.Duration) {
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[StageATPG]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed("podem-chunk", elapsed, map[string]any{
-		"stage": StageATPG, "start": start, "faults": n,
-	})
-}
-
-func (r *Recorder) onSubStage(circuit, stage, sub string, elapsed time.Duration, info StageInfo) {
-	r.reg.Histogram(fmt.Sprintf(MetricSubStageSeconds+`{stage=%q,sub=%q}`, stage, sub), nil).
-		Observe(elapsed.Seconds())
-	if r.tw == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cr := r.circuit(circuit)
-	parent := cr.span
-	if st := cr.stages[stage]; len(st) > 0 {
-		parent = st[len(st)-1]
-	}
-	parent.Completed(sub, elapsed, map[string]any{"stage": stage})
-}
-
-func (r *Recorder) onPodemFault(_ string, info PodemFaultInfo) {
-	if c, ok := r.podemByOutcome[info.Outcome]; ok {
-		c.Inc()
-	}
-	r.podemBacktracks.Observe(float64(info.Backtracks))
-}
-
-func (r *Recorder) onJustify(_ string, info JustifyInfo) {
-	if info.Success {
-		r.justifyOK.Inc()
-	} else {
-		r.justifyFail.Inc()
-	}
-	r.justifyBacktracks.Observe(float64(info.Backtracks))
-}
-
-func (r *Recorder) onObsSamples(_ string, samples int) {
-	r.obsSamples.Add(int64(samples))
-}
-
-func (r *Recorder) onPattern(_, _ string, _ int) {
-	r.patterns.Inc()
-}
-
-// onProgress closes the circuit's span and moves its stage record to the
-// finished list. Circuits run outside an Engine (no progress feed) are
-// flushed by Close instead.
-func (r *Recorder) onProgress(circuit string, _, _ int) {
-	r.FinishCircuit(circuit)
-}
-
-// FinishCircuit closes the named circuit's open span and moves its stage
-// record to the finished manifest list. Engine runs do this through the
-// progress feed; long-running callers that invoke Engine.Compare directly
-// per job — the scanpowerd service — call it after each job so the span
-// tree stays balanced without waiting for Close. Unknown names are a
-// no-op for the span but still count a completed circuit.
-func (r *Recorder) FinishCircuit(circuit string) {
+// FinishCircuit counts one completed circuit. Engine runs count through
+// the progress feed; long-running callers that invoke Engine.Compare
+// directly per job — the scanpowerd service — call it after each job. The
+// circuit's span and manifest entry are already closed when its Compare
+// returns.
+func (r *Recorder) FinishCircuit(string) {
 	r.circuitsDone.Inc()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.finishLocked(circuit)
 }
 
-func (r *Recorder) finishLocked(circuit string) {
-	cr, ok := r.circuits[circuit]
+// finishLocked closes the record of circuit scope root, if one is open.
+// Callers hold r.mu.
+func (r *Recorder) finishLocked(root *probe.Scope) {
+	cr, ok := r.circuits[root]
 	if !ok {
 		return
 	}
-	delete(r.circuits, circuit)
-	for _, st := range cr.stages { // unbalanced stage spans (cancelled run)
-		for _, s := range st {
-			s.End(map[string]any{"aborted": true})
-		}
+	delete(r.circuits, root)
+	for _, s := range cr.stages { // unbalanced stage spans (cancelled run)
+		s.End(map[string]any{"aborted": true})
 	}
 	cr.span.End(map[string]any{"stages": len(cr.manifest.Stages)})
 	r.done = append(r.done, cr.manifest)
@@ -363,9 +297,11 @@ func (r *Recorder) CircuitError(circuit string, err error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cr, ok := r.circuits[circuit]; ok {
-		cr.manifest.Err = err.Error()
-		return
+	for _, cr := range r.circuits {
+		if cr.manifest.Name == circuit {
+			cr.manifest.Err = err.Error()
+			return
+		}
 	}
 	for i := range r.done {
 		if r.done[i].Name == circuit {
@@ -381,8 +317,8 @@ func (r *Recorder) CircuitError(circuit string, err error) {
 func (r *Recorder) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name := range r.circuits {
-		r.finishLocked(name)
+	for root := range r.circuits {
+		r.finishLocked(root)
 	}
 	if r.run != nil {
 		r.run.End(map[string]any{"circuits": len(r.done)})

@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -242,7 +245,8 @@ func TestRecorderNilSinks(t *testing.T) {
 // manifest entry of the right circuit.
 func TestRecorderCircuitError(t *testing.T) {
 	rec := NewRecorder(nil, nil)
-	rec.Hooks().OnStageStart("sX", StageATPG)
+	ctx, _ := probe.Open(context.Background(), rec.Hooks().emit, "sX")
+	probe.Stage(ctx, StageATPG)
 	rec.CircuitError("sX", fmt.Errorf("boom"))
 	rec.CircuitError("sY", fmt.Errorf("late"))
 	rec.Close()
@@ -270,8 +274,9 @@ func TestMergeHooksAllFire(t *testing.T) {
 		}
 	}
 	h := MergeHooks(mk("a"), Hooks{}, mk("b"))
-	h.OnStageStart("c", StageATPG)
-	h.OnPodemFault("c", PodemFaultInfo{})
+	ctx, _ := probe.Open(context.Background(), h.emit, "c")
+	_, sc := probe.Stage(ctx, StageATPG)
+	sc.Emit(probe.Event{Kind: probe.PodemFault})
 	want := []string{"a.start", "b.start", "a.podem", "b.podem"}
 	if len(order) != len(want) {
 		t.Fatalf("events = %v, want %v", order, want)
@@ -324,5 +329,63 @@ func TestRecorderMCBatches(t *testing.T) {
 	}
 	if kinds["fill"] == 0 {
 		t.Error("no fill mc-batch spans in trace")
+	}
+}
+
+// TestRecorderSameNameConcurrent: two concurrent Compares of one circuit
+// name under one Recorder — what the scanpowerd service does with two
+// workers and two jobs on one benchmark — must yield two manifest entries
+// of four stages each, and no stage span may end aborted.
+func TestRecorderSameNameConcurrent(t *testing.T) {
+	var traceBuf bytes.Buffer
+	tw := telemetry.NewTraceWriter(&traceBuf)
+	rec := NewRecorder(telemetry.NewRegistry(), tw)
+	eng := NewEngine(DefaultConfig())
+	eng.Hooks = rec.Hooks()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Benchmark("s344")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := eng.Compare(context.Background(), c); err != nil {
+				t.Error(err)
+			}
+			rec.FinishCircuit(c.Name)
+		}()
+	}
+	wg.Wait()
+	rec.Close()
+
+	m := rec.Manifest("same-name")
+	if len(m.Circuits) != 2 {
+		t.Fatalf("manifest has %d circuits, want 2: %+v", len(m.Circuits), m.Circuits)
+	}
+	want := []string{StageATPG, StageTraditional, StageInputControl, StageProposed}
+	for _, cm := range m.Circuits {
+		var got []string
+		for _, st := range cm.Stages {
+			got = append(got, st.Stage)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("circuit %s stages = %v, want %v", cm.Name, got, want)
+		}
+	}
+	if open := tw.OpenSpans(); open != 0 {
+		t.Errorf("%d spans still open after Close", open)
+	}
+	sc := bufio.NewScanner(bytes.NewReader(traceBuf.Bytes()))
+	for sc.Scan() {
+		var ev telemetry.TraceEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line is not JSON: %v", err)
+		}
+		if ev.Attrs["aborted"] == true {
+			t.Errorf("span %s ended aborted", ev.Name)
+		}
 	}
 }
