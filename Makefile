@@ -30,7 +30,7 @@ atpg-race:
 # temporary file, which must parse as scanpower/run-manifest/v1 with one
 # four-stage entry per circuit. Performance is measured by benchmark/run.sh.
 manifest-smoke:
-	$(GO) run ./scripts/manifestsmoke -circuits s344,s382,s444
+	$(GO) run ./scripts/manifestsmoke
 
 # The telemetry path under the race detector: concurrent Engine workers
 # and same-named concurrent Compares feeding one Recorder, registry, and
