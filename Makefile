@@ -85,7 +85,9 @@ obs-smoke:
 # pattern sets and shift configs through the packed and dense measurement
 # kernels (bit-equal reports), random flow shapes through the packed and
 # scalar don't-care fills (same completion, same rng end state), random
-# batches through the packed and serial fault simulators, and random
+# batches through the packed and serial fault simulators, random circuits
+# through the incremental and full PODEM engines (same status, backtracks
+# and assignment for every fault), and random
 # circuit profiles through the linear-time and original quadratic circuit
 # generators (same error, or same .bench text and fingerprint). The seed
 # corpora also run on every plain `go test`.
@@ -94,4 +96,5 @@ fuzz-equiv:
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzMCPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s
+	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzPodemEquivalence -fuzztime 10s
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s

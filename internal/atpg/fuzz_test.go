@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,5 +117,25 @@ func FuzzFaultSimEquivalence(f *testing.F) {
 					seed, nDetect, faults[i].Name(c), pCount[i], sCount[i])
 			}
 		}
+	})
+}
+
+// FuzzPodemEquivalence drives random circuits of all nine gate types
+// through both PODEM engines: for every fault, with SCOAP guidance on or
+// off as the input chooses, the incremental dual-rail engine must reach
+// the full logic.Eval engine's status and backtrack count, and on
+// success its assignment. `make fuzz-equiv` runs this continuously; the
+// seed corpus runs on every `go test`.
+func FuzzPodemEquivalence(f *testing.F) {
+	// Each seed detects a primary-input fault, propagates a difference
+	// through a MUX2 by its select, and leaves an XOR/XNOR with an X input
+	// beside a binary one; seed 47 also aborts searches.
+	f.Add(int64(0), false)
+	f.Add(int64(3), true)
+	f.Add(int64(47), false)
+	f.Add(int64(47), true)
+	f.Fuzz(func(t *testing.T, seed int64, useSCOAP bool) {
+		c := atpgFuzzCircuit(rand.New(rand.NewSource(seed)))
+		requirePodemModesAgree(t, fmt.Sprintf("seed=%d", seed), c, useSCOAP, 16)
 	})
 }
