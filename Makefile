@@ -85,6 +85,8 @@ obs-smoke:
 # pattern sets and shift configs through the packed and dense measurement
 # kernels (bit-equal reports), random flow shapes through the packed and
 # scalar don't-care fills (same completion, same rng end state), random
+# set/flip/undo sequences through the blocking search's event-driven and
+# full implication (same implied value on every net), random
 # batches through the packed and serial fault simulators, random circuits
 # through the incremental and full PODEM engines (same status, backtracks
 # and assignment for every fault), and random
@@ -95,6 +97,7 @@ fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzMCPackedEquivalence -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzFinderImplyEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzPodemEquivalence -fuzztime 10s
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s

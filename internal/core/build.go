@@ -145,7 +145,7 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 	if opts.ReorderInputs {
 		doneReorder := sc.Phase("reorder")
 		sol.Stats.ReorderedGates = ReorderInputs(work, f.val, opts.Leak)
-		f.imply() // values are unchanged, but recompute for cleanliness
+		f.implyFull() // values are unchanged; re-derive them over the permuted inputs
 		f.classify()
 		doneReorder()
 	}

@@ -16,6 +16,11 @@
 //	ReorderInputs             – leakage-driven permutation of symmetric
 //	                            gate inputs under the scan-mode state
 //
+// FindControlledInputPattern re-implies the circuit after every decision
+// of its search. The first implication is a full topological pass that
+// primes the state and serves as the test oracle; every later one
+// re-evaluates, level by level, only the gates an input change reaches.
+//
 // Build runs all stages and also provides the Huang–Lee input-control
 // baseline (blocking through primary inputs only, no MUXes) used as the
 // second comparison column of Table I.

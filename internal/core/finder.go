@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -21,16 +22,25 @@ type finder struct {
 	ob   *obs.Observability // nil when not observability-directed
 	rng  *rand.Rand
 
-	loads      []float64     // per net, for "largest output capacitance"
-	controlled []bool        // per net
-	free       []bool        // per net: non-multiplexed pseudo-input
-	assign     []logic.Value // per net: committed decision (controlled only)
-	val        []logic.Value // implied state, X where free-dependent/unassigned
-	trans      []bool        // per net: carries scan-chain transitions
-	failed     []bool        // per gate: blocking attempted and failed
+	inputs     []netlist.NetID // combinational inputs: PIs, then pseudo-inputs
+	loads      []float64       // per net, for "largest output capacitance"
+	controlled []bool          // per net
+	free       []bool          // per net: non-multiplexed pseudo-input
+	assign     []logic.Value   // per net: committed decision (controlled only)
+	val        []logic.Value   // implied state, X where free-dependent/unassigned
+	trans      []bool          // per net: carries scan-chain transitions
+	failed     []bool          // per gate: blocking attempted and failed
 	pending    []netlist.GateID
 	inBuf      []logic.Value
 	btCands    []netlist.NetID
+
+	// Event-driven imply: primed once val holds a full pass; then a
+	// level-bucketed queue of gates to re-evaluate, one bit per level
+	// that holds queued gates, and a per-gate queued flag.
+	primed  bool
+	buckets [][]netlist.GateID
+	dirty   []uint64
+	queued  []bool
 
 	blockedGates int
 	failedGates  int
@@ -66,6 +76,7 @@ func newFinder(c *netlist.Circuit, opts *Options, muxable []bool,
 		opts:       opts,
 		ob:         ob,
 		rng:        rng,
+		inputs:     c.CombInputs(),
 		loads:      opts.Cap.NetLoads(c),
 		controlled: make([]bool, c.NumNets()),
 		free:       make([]bool, c.NumNets()),
@@ -74,7 +85,11 @@ func newFinder(c *netlist.Circuit, opts *Options, muxable []bool,
 		trans:      make([]bool, c.NumNets()),
 		failed:     make([]bool, c.NumGates()),
 		inBuf:      make([]logic.Value, 0, 8),
+		queued:     make([]bool, c.NumGates()),
 	}
+	depth := c.Depth()
+	f.buckets = make([][]netlist.GateID, depth)
+	f.dirty = make([]uint64, (depth+63)/64)
 	for _, pi := range c.PIs {
 		f.controlled[pi] = true
 	}
@@ -88,26 +103,88 @@ func newFinder(c *netlist.Circuit, opts *Options, muxable []bool,
 	return f
 }
 
-// imply recomputes the implied three-valued state from the committed
-// assignment: controlled inputs carry their assigned value (X if
-// undecided), non-multiplexed pseudo-inputs are always X (they toggle
-// with the chain).
+// imply brings the implied three-valued state up to date with the
+// committed assignment: controlled inputs carry their assigned value (X
+// if undecided), non-multiplexed pseudo-inputs are always X (they toggle
+// with the chain). The first call is a full pass (implyFull); every later
+// one queues the fanout of each input whose value changed and drains the
+// queue level by level, lowest first, re-evaluating only the gates an
+// input change can reach. Both reach the same fixpoint.
 func (f *finder) imply() {
+	if !f.primed {
+		f.implyFull()
+		return
+	}
+	for _, n := range f.inputs {
+		v := logic.X
+		if f.controlled[n] {
+			v = f.assign[n]
+		}
+		if f.val[n] != v {
+			f.val[n] = v
+			f.scheduleFanout(n)
+		}
+	}
 	c := f.c
-	for _, n := range c.CombInputs() {
+	for w := 0; w < len(f.dirty); {
+		word := f.dirty[w]
+		if word == 0 {
+			w++
+			continue
+		}
+		b := bits.TrailingZeros64(word)
+		f.dirty[w] = word &^ (1 << b)
+		lvl := w*64 + b
+		// Gates queued while draining sit at higher levels, never in q.
+		q := f.buckets[lvl]
+		for _, gi := range q {
+			f.queued[gi] = false
+			g := &c.Gates[gi]
+			if v := f.eval(g); v != f.val[g.Output] {
+				f.val[g.Output] = v
+				f.scheduleFanout(g.Output)
+			}
+		}
+		f.buckets[lvl] = q[:0]
+	}
+}
+
+// implyFull recomputes the whole implied state in topological order. It
+// primes the event-driven imply and is its test oracle.
+func (f *finder) implyFull() {
+	for _, n := range f.inputs {
 		if f.controlled[n] {
 			f.val[n] = f.assign[n]
 		} else {
 			f.val[n] = logic.X
 		}
 	}
+	c := f.c
 	for _, gi := range c.Topo() {
 		g := &c.Gates[gi]
-		f.inBuf = f.inBuf[:0]
-		for _, in := range g.Inputs {
-			f.inBuf = append(f.inBuf, f.val[in])
+		f.val[g.Output] = f.eval(g)
+	}
+	f.primed = true
+}
+
+// eval evaluates gate g on the current implied values of its inputs.
+func (f *finder) eval(g *netlist.Gate) logic.Value {
+	f.inBuf = f.inBuf[:0]
+	for _, in := range g.Inputs {
+		f.inBuf = append(f.inBuf, f.val[in])
+	}
+	return logic.Eval(g.Type, f.inBuf)
+}
+
+// scheduleFanout queues every gate reading net n for the next drain.
+func (f *finder) scheduleFanout(n netlist.NetID) {
+	for _, g := range f.c.Nets[n].Fanout {
+		if !f.queued[g] {
+			f.queued[g] = true
+			lvl := f.c.Level(g)
+			f.buckets[lvl] = append(f.buckets[lvl], g)
+			f.dirty[lvl>>6] |= 1 << (lvl & 63)
 		}
-		f.val[g.Output] = logic.Eval(g.Type, f.inBuf)
 	}
 }
 
@@ -157,7 +234,7 @@ func (f *finder) classify() {
 			f.trans[out] = true
 			continue
 		}
-		if len(f.blockCandidates(gi)) == 0 {
+		if !f.hasBlockCandidate(gi) {
 			// No side input can take the controlling value: transitions
 			// pass on (the paper's "add all fan-out nodes of mc_tg to
 			// TNS" after exhausting the don't-care inputs).
@@ -175,14 +252,28 @@ func (f *finder) classify() {
 // a don't-care and are not themselves transition-carrying — exactly the
 // inputs a controlling value could be justified on.
 func (f *finder) blockCandidates(gi netlist.GateID) []netlist.NetID {
-	g := &f.c.Gates[gi]
 	var out []netlist.NetID
-	for _, in := range g.Inputs {
-		if f.val[in] == logic.X && !f.trans[in] {
+	for _, in := range f.c.Gates[gi].Inputs {
+		if f.isBlockCandidate(in) {
 			out = append(out, in)
 		}
 	}
 	return out
+}
+
+// hasBlockCandidate reports whether blockCandidates(gi) is non-empty,
+// without building the slice.
+func (f *finder) hasBlockCandidate(gi netlist.GateID) bool {
+	for _, in := range f.c.Gates[gi].Inputs {
+		if f.isBlockCandidate(in) {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *finder) isBlockCandidate(in netlist.NetID) bool {
+	return f.val[in] == logic.X && !f.trans[in]
 }
 
 // orderCandidates sorts candidate nets by the leakage-observability
@@ -252,9 +343,8 @@ func (f *finder) run() {
 // choice competes against the random samples. The search runs on the
 // packed kernel, fillPacked.
 func (f *finder) fill() (filled int) {
-	c := f.c
 	var unassigned []netlist.NetID
-	for _, n := range c.CombInputs() {
+	for _, n := range f.inputs {
 		if f.controlled[n] && f.assign[n] == logic.X {
 			unassigned = append(unassigned, n)
 		}

@@ -310,3 +310,56 @@ func TestJustifyStress(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFinderImplyEquivalence drives random circuits through random
+// sequences of set, flip and undo on the controlled inputs and requires
+// the event-driven imply to leave every net where a full pass on a fresh
+// finder with the same assignment puts it. `make fuzz-equiv` runs this
+// continuously; the seed corpus runs on every `go test`.
+func FuzzFinderImplyEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(40))
+	f.Add(int64(2), uint8(0xFF), uint8(200))
+	f.Add(int64(99), uint8(0b1010), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, muxMask, steps uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomMCCircuit(rng)
+		opts := ProposedOptions()
+		muxable := make([]bool, c.NumFFs())
+		for fi := range muxable {
+			muxable[fi] = muxMask>>(uint(fi)%8)&1 == 1
+		}
+		fd := newFinder(c, &opts, muxable, nil, rng)
+		var ctl []netlist.NetID
+		for _, n := range fd.inputs {
+			if fd.controlled[n] {
+				ctl = append(ctl, n)
+			}
+		}
+		fd.imply()
+		for step := 0; step < int(steps); step++ {
+			// One to three edits per imply, as a justify flip followed
+			// by undos of deeper decisions would make.
+			for k := rng.Intn(3); k >= 0; k-- {
+				n := ctl[rng.Intn(len(ctl))]
+				switch rng.Intn(3) {
+				case 0:
+					fd.assign[n] = logic.FromBool(rng.Intn(2) == 1)
+				case 1:
+					fd.assign[n] = fd.assign[n].Not()
+				default:
+					fd.assign[n] = logic.X
+				}
+			}
+			fd.imply()
+			ref := newFinder(c, &opts, muxable, nil, nil)
+			copy(ref.assign, fd.assign)
+			ref.implyFull()
+			for n := range ref.val {
+				if fd.val[n] != ref.val[n] {
+					t.Fatalf("seed=%d mux=%x step %d: net %s = %v, full pass gives %v",
+						seed, muxMask, step, c.Nets[n].Name, fd.val[n], ref.val[n])
+				}
+			}
+		}
+	})
+}

@@ -12,10 +12,11 @@ import (
 
 // TestMeasureScanPackedNoSinkAllocs guards the unobserved measurement
 // path: on a context that carries no probe sink, the per-pattern and
-// per-batch reports must cost nothing, so the packed kernel allocates at
-// most one slice per pattern (the capture response) beyond its fixed
-// set-up. An event that allocates shows up as extra growth when the
-// pattern count doubles.
+// per-batch reports must cost nothing, and the capture responses come
+// from one buffer reused across 256-pattern windows, so the packed
+// kernel's allocations are its fixed set-up alone. An event or a
+// response that allocates shows up as growth when the pattern count
+// doubles.
 func TestMeasureScanPackedNoSinkAllocs(t *testing.T) {
 	p, _ := iscas.ByName("s344")
 	c, err := iscas.Generate(p)
@@ -36,7 +37,7 @@ func TestMeasureScanPackedNoSinkAllocs(t *testing.T) {
 	}
 	run(pats) // warm lazily built tables
 	half, full := run(pats[:40]), run(pats)
-	if grown := full - half; grown > 40 {
-		t.Errorf("40 more patterns cost %v more allocs/run, want <= 40 (one capture response each)", grown)
+	if grown := full - half; grown > 0 {
+		t.Errorf("40 more patterns cost %v more allocs/run, want 0", grown)
 	}
 }

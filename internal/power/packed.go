@@ -16,7 +16,11 @@ import (
 // core once per batch with word-wide boolean operations
 // over the compiled levelized program, counts toggled capacitance from
 // the popcount of prev^cur per net, and resolves every gate's leakage
-// state per lane from the packed words.
+// state per lane from the packed words. When at most 8 inputs can change
+// between observed cycles (scan.ShiftConfig.Varying), every distinct
+// input state's leakage is evaluated once up front and each cycle looks
+// its state up instead; capture responses are decided 256 patterns per
+// evaluation.
 //
 // Results are bit-identical to MeasureScan — not merely close: the
 // per-cycle accumulation orders of the serial kernel (net order within a
@@ -49,17 +53,19 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	// net).
 	wide := sim.NewWideProgram(prog)
 
-	// The capture responses run the same compiled program one lane at a
-	// time (lane 0 of a private packed instance): bit 0 of every output
-	// word is exactly the scalar evaluation of the same inputs, so this
-	// changes nothing but the cost of the throwaway capture simulation.
-	capSim := sim.NewPackedProgram(prog)
-	capPI := make([]uint64, len(c.PIs))
-	capPPI := make([]uint64, c.NumFFs())
+	// Capture responses are a pure function of the pattern: at every
+	// capture scan.Chain.Run and Chains.Run apply exactly (pattern.PI,
+	// pattern.State). They are decided one window of 256 patterns per
+	// wide evaluation; capResp[k*nFF:(k+1)*nFF] is pattern k's response
+	// within the current window.
+	nFF := c.NumFFs()
+	capPI := make([]uint64, len(c.PIs)*ww)
+	capPPI := make([]uint64, nFF*ww)
+	capResp := make([]bool, lanes*nFF)
 
 	var (
 		piW  = make([]uint64, len(c.PIs)*ww)
-		ppiW = make([]uint64, c.NumFFs()*ww)
+		ppiW = make([]uint64, nFF*ww)
 		lane int // cycles packed into the current batch
 
 		// prevBit[n] is net n's value on the last cycle of the previous
@@ -70,6 +76,17 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		cycDelta = make([]float64, lanes)
 		cycLeak  = make([]float64, lanes)
 
+		// varPI and varFF are the inputs that can change between
+		// observed cycles; the others carry one constant for the whole
+		// run, broadcast into their lane words once by prepare.
+		prepared     bool
+		varPI, varFF []int
+		// leakOf[s] is the leakage of state s when the varying inputs
+		// number at most enumBits, bit j of s being varying input j (PIs
+		// first); state[t] is lane t's state. nil for larger spaces.
+		leakOf []float64
+		state  = make([]uint8, lanes)
+
 		dynTotal, peak float64
 		rawToggles     int64
 		cycles         int
@@ -77,6 +94,55 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		leakCycles     int
 		pattern        int // index of the pattern being captured
 	)
+
+	// clearVarying zeroes the lane words of the varying inputs.
+	clearVarying := func() {
+		for _, i := range varPI {
+			clear(piW[i*ww : (i+1)*ww])
+		}
+		for _, f := range varFF {
+			clear(ppiW[f*ww : (f+1)*ww])
+		}
+	}
+
+	// prepare runs on the first observed cycle (pi, ppi), after Run has
+	// validated cfg: it broadcasts that cycle's values of the constant
+	// inputs and, for a small state space, evaluates every state's
+	// leakage once, lane s carrying state s. Each lane sums its gates in
+	// the same order whichever cycle it holds, so leakOf[s] is exactly
+	// the per-cycle sum of any cycle in state s.
+	prepare := func(pi, ppi []bool) {
+		prepared = true
+		varPI, varFF = cfg.Varying(opts.IncludeCapture)
+		for i, v := range pi {
+			if v {
+				fillOnes(piW[i*ww : (i+1)*ww])
+			}
+		}
+		for f, v := range ppi {
+			if v {
+				fillOnes(ppiW[f*ww : (f+1)*ww])
+			}
+		}
+		clearVarying()
+		m := len(varPI) + len(varFF)
+		if m > enumBits {
+			return
+		}
+		nStates := 1 << m
+		for s := 0; s < nStates; s++ {
+			wk, bit := s>>6, uint(s&63)
+			for j, i := range varPI {
+				piW[i*ww+wk] |= uint64(s>>j&1) << bit
+			}
+			for j, f := range varFF {
+				ppiW[f*ww+wk] |= uint64(s>>(len(varPI)+j)&1) << bit
+			}
+		}
+		leakOf = make([]float64, nStates)
+		lm.AccumLeakPackedW(c, wide.Eval(piW, ppiW), ww, nStates, leakTabs, leakOf)
+		clearVarying()
+	}
 
 	// flush evaluates the batched lanes and folds them into the running
 	// sums in exactly the serial order: per lane, switched capacitance in
@@ -91,10 +157,18 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		words := wide.Eval(piW, ppiW)
 
 		for t := 0; t < n; t++ {
-			cycLeak[t] = 0
 			cycDelta[t] = 0
 		}
-		lm.AccumLeakPackedW(c, words, ww, n, leakTabs, cycLeak)
+		if leakOf != nil {
+			for t := 0; t < n; t++ {
+				cycLeak[t] = leakOf[state[t]]
+			}
+		} else {
+			for t := 0; t < n; t++ {
+				cycLeak[t] = 0
+			}
+			lm.AccumLeakPackedW(c, words, ww, n, leakTabs, cycLeak)
+		}
 
 		kLast := (n - 1) >> 6
 		lastShift := uint((n - 1) & 63)
@@ -146,26 +220,59 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 
 		primed = true
 		lane = 0
-		for i := range piW {
-			piW[i] = 0
-		}
-		for i := range ppiW {
-			ppiW[i] = 0
-		}
+		clearVarying()
 		sc.Emit(probe.Event{Kind: probe.MeasureBatch, N: n, Elapsed: time.Since(start)})
 	}
 
+	// observe packs one cycle into the batch, reading only the varying
+	// inputs: the rest hold their broadcast constants.
 	observe := func(pi, ppi []bool) {
-		wk, bit := lane>>6, uint(lane&63)
-		for i, v := range pi {
-			piW[i*ww+wk] |= b2w(v) << bit
+		if !prepared {
+			prepare(pi, ppi)
 		}
-		for i, v := range ppi {
-			ppiW[i*ww+wk] |= b2w(v) << bit
+		wk, bit := lane>>6, uint(lane&63)
+		st := 0
+		for j, i := range varPI {
+			v := b2w(pi[i])
+			piW[i*ww+wk] |= v << bit
+			st |= int(v) << j
+		}
+		for j, f := range varFF {
+			v := b2w(ppi[f])
+			ppiW[f*ww+wk] |= v << bit
+			st |= int(v) << (len(varPI) + j)
+		}
+		if leakOf != nil {
+			state[lane] = uint8(st)
 		}
 		lane++
 		if lane == lanes {
 			flush()
+		}
+	}
+
+	// captureWindow decides the responses of the up to 256 patterns
+	// starting at first in one wide evaluation.
+	captureWindow := func(first int) {
+		clear(capPI)
+		clear(capPPI)
+		win := patterns[first:min(first+lanes, len(patterns))]
+		for k, p := range win {
+			wk, bit := k>>6, uint(k&63)
+			for i, v := range p.PI {
+				capPI[i*ww+wk] |= b2w(v) << bit
+			}
+			for i, v := range p.State {
+				capPPI[i*ww+wk] |= b2w(v) << bit
+			}
+		}
+		words := wide.Eval(capPI, capPPI)
+		for k := range win {
+			wk, bit := k>>6, uint(k&63)
+			resp := capResp[k*nFF : (k+1)*nFF]
+			for i, ff := range c.FFs {
+				resp[i] = words[int(ff.D)*ww+wk]>>bit&1 != 0
+			}
 		}
 	}
 
@@ -176,23 +283,13 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 			if opts.IncludeCapture {
 				observe(pi, ppi)
 			}
-			// The capture response is a pure function of the applied
-			// inputs; a throwaway single-lane evaluation decides it
-			// without disturbing the packed stream.
-			for i, v := range pi {
-				capPI[i] = b2w(v)
-			}
-			for i, v := range ppi {
-				capPPI[i] = b2w(v)
-			}
-			vals := capSim.Eval(capPI, capPPI)
-			next := make([]bool, c.NumFFs())
-			for i, ff := range c.FFs {
-				next[i] = vals[ff.D]&1 != 0
+			k := pattern % lanes
+			if k == 0 {
+				captureWindow(pattern)
 			}
 			sc.Emit(probe.Event{Kind: probe.Pattern, N: pattern})
 			pattern++
-			return next
+			return capResp[k*nFF : (k+1)*nFF]
 		},
 	}
 	if err := ch.Run(patterns, cfg, hooks); err != nil {
@@ -213,6 +310,17 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		r.StaticUW = lm.PowerUW(r.MeanLeakNA)
 	}
 	return r, nil
+}
+
+// enumBits is the largest number of varying inputs whose every state fits
+// one 256-lane batch.
+const enumBits = 8
+
+// fillOnes sets every bit of ws.
+func fillOnes(ws []uint64) {
+	for i := range ws {
+		ws[i] = ^uint64(0)
+	}
 }
 
 // b2w converts a bool to a 0/1 word without a branch.

@@ -185,6 +185,77 @@ func TestMeasureScanPackedHooks(t *testing.T) {
 	}
 }
 
+// TestMeasureScanPackedEnumerationBoundary crosses the kernel's switch
+// from per-state leakage (at most 8 varying inputs, every state in one
+// 256-lane batch) to per-lane accumulation: m = 0, 1, 8 and 9 varying
+// inputs drawn first from the unheld PIs or first from the unmuxed flops,
+// with the other PIs held at mixed 0/1, both capture modes, one chain and
+// unequal multi-chains, and pattern counts that cross the 256-lane
+// batches and the 256-pattern capture windows. Every Report field must
+// equal MeasureScan's.
+func TestMeasureScanPackedEnumerationBoundary(t *testing.T) {
+	p, _ := iscas.ByName("s344")
+	c, err := iscas.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, cm := leakage.Default(), DefaultCapModel()
+	nPI, nFF := len(c.PIs), c.NumFFs()
+	chains, err := scan.NewChains(c, 4) // 15 flops: 4, 4, 4, 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cfgFor leaves m inputs varying: X holds on the first PIs and
+	// unmuxed first flops, taking from the PIs first when pisFirst.
+	cfgFor := func(m int, pisFirst bool) scan.ShiftConfig {
+		xPI := min(m, nPI)
+		if !pisFirst {
+			xPI = m - min(m, nFF)
+		}
+		cfg := scan.Traditional(c)
+		for i := range cfg.PIHold {
+			if i >= xPI {
+				cfg.PIHold[i] = logic.Value(1 + i%2) // Zero or One
+			}
+		}
+		for f := m - xPI; f < nFF; f++ {
+			cfg.Muxed[f] = true
+			cfg.MuxVal[f] = f%3 == 0
+		}
+		return cfg
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, nPats := range []int{1, 18, 300} {
+		pats := randomPatterns(rng, c, nPats)
+		for _, m := range []int{0, 1, 8, 9} {
+			for _, pisFirst := range []bool{true, false} {
+				cfg := cfgFor(m, pisFirst)
+				pis, ffs := cfg.Varying(false)
+				if len(pis)+len(ffs) != m {
+					t.Fatalf("m=%d: config varies %d PIs and %d flops", m, len(pis), len(ffs))
+				}
+				for _, includeCapture := range []bool{false, true} {
+					for _, r := range []scan.Runner{scan.New(c), chains} {
+						opts := MeasureOptions{IncludeCapture: includeCapture}
+						slow, err := MeasureScanOpts(r, pats, cfg, lm, cm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						packed, err := MeasureScanPackedOpts(r, pats, cfg, lm, cm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if field := reportsIdentical(slow, packed); field != "" {
+							t.Errorf("pats=%d m=%d pisFirst=%v cap=%v %T: %s differs: serial %+v, packed %+v",
+								nPats, m, pisFirst, includeCapture, r, field, slow, packed)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // randomFuzzCircuit builds a small random, well-formed frozen circuit
 // from a seed: a DAG of random gates over a few PIs and flops.
 func randomFuzzCircuit(rng *rand.Rand) *netlist.Circuit {
@@ -240,6 +311,10 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(0b1010), false)
 	f.Add(int64(2), uint8(1), uint8(0), true)
 	f.Add(int64(99), uint8(70), uint8(0xFF), false)
+	// Every fuzz circuit has at most 7 inputs, so every run enumerates
+	// its states; this one (four flops, 80 patterns) spans two 256-lane
+	// batches.
+	f.Add(int64(11), uint8(79), uint8(0b0101), false)
 	f.Fuzz(func(t *testing.T, seed int64, nPats, muxMask uint8, includeCapture bool) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomFuzzCircuit(rng)

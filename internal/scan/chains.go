@@ -3,7 +3,6 @@ package scan
 import (
 	"fmt"
 
-	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -112,29 +111,18 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	for k := range content {
 		content[k] = make([]bool, len(cs.Groups[k]))
 	}
-	piVals := make([]bool, len(c.PIs))
-	ppiVals := make([]bool, c.NumFFs())
+	piVals, ppiVals, varPI, varFF := cfg.shiftInputs()
+	capVals := make([]bool, c.NumFFs())
 
 	emit := func(patPI []bool) {
 		if hooks.ShiftCycle == nil {
 			return
 		}
-		for i := range piVals {
-			switch cfg.PIHold[i] {
-			case logic.Zero:
-				piVals[i] = false
-			case logic.One:
-				piVals[i] = true
-			default:
-				piVals[i] = patPI[i]
-			}
+		for _, i := range varPI {
+			piVals[i] = patPI[i]
 		}
-		for f := 0; f < c.NumFFs(); f++ {
-			if cfg.Muxed[f] {
-				ppiVals[f] = cfg.MuxVal[f]
-			} else {
-				ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
-			}
+		for _, f := range varFF {
+			ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
 		}
 		hooks.ShiftCycle(piVals, ppiVals)
 	}
@@ -170,10 +158,10 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 			emit(pat.PI)
 		}
 		if hooks.Capture != nil {
-			for f := 0; f < c.NumFFs(); f++ {
-				ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
+			for f := range capVals {
+				capVals[f] = content[cs.chain[f]][cs.pos[f]]
 			}
-			resp := hooks.Capture(pat.PI, ppiVals)
+			resp := hooks.Capture(pat.PI, capVals)
 			if len(resp) != c.NumFFs() {
 				return fmt.Errorf("scan: capture hook returned %d bits for %d flops",
 					len(resp), c.NumFFs())

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -176,5 +177,57 @@ func TestChainsMuxedFlopsFrozen(t *testing.T) {
 	}}
 	if err := cs.Run([]Pattern{pat}, cfg, hooks); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunInvariants pins two properties of both runners that the packed
+// measurement kernel relies on: every capture applies exactly
+// (pattern.PI, pattern.State), and the held and frozen entries of the
+// ShiftCycle slices keep their constants across captures, whatever the
+// capture loads into the chain.
+func TestRunInvariants(t *testing.T) {
+	c := build3FF(t)
+	chains, err := NewChains(c, 2) // unequal: 2 and 1 flops
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Traditional(c)
+	cfg.PIHold[0] = logic.One
+	cfg.Muxed[1], cfg.MuxVal[1] = true, true
+	cfg.Muxed[2] = true // frozen at 0
+	pats := []Pattern{
+		{PI: []bool{false, true}, State: []bool{true, false, true}},
+		{PI: []bool{true, false}, State: []bool{false, true, false}},
+		{PI: []bool{false, false}, State: []bool{true, true, true}},
+	}
+	for _, r := range []struct {
+		name string
+		run  Runner
+	}{{"chain", New(c)}, {"chains", chains}} {
+		k := 0
+		hooks := Hooks{
+			ShiftCycle: func(pi, ppi []bool) {
+				if !pi[0] || !ppi[1] || ppi[2] {
+					t.Errorf("%s: shift cycle after %d captures saw pi=%v ppi=%v, want held pi[0]=1, frozen ppi[1]=1 ppi[2]=0",
+						r.name, k, pi, ppi)
+				}
+			},
+			Capture: func(pi, ppi []bool) []bool {
+				p := pats[k]
+				if !slices.Equal(pi, p.PI) || !slices.Equal(ppi, p.State) {
+					t.Errorf("%s: capture %d applied pi=%v ppi=%v, want %v %v",
+						r.name, k, pi, ppi, p.PI, p.State)
+				}
+				k++
+				// The opposite of every constant.
+				return []bool{true, false, true}
+			},
+		}
+		if err := r.run.Run(pats, cfg, hooks); err != nil {
+			t.Fatal(err)
+		}
+		if k != len(pats) {
+			t.Errorf("%s: %d captures for %d patterns", r.name, k, len(pats))
+		}
 	}
 }

@@ -110,6 +110,42 @@ func (cfg *ShiftConfig) Validate(c *netlist.Circuit) error {
 	return nil
 }
 
+// Varying returns the combinational inputs whose value can change
+// between the cycles a measurement observes, as PI indices and FF
+// indices: the primary inputs without a held constant and the flops
+// without a scan-mode MUX — or every input when the capture cycles are
+// observed too, since a capture applies the pattern's own PI and state
+// bits. On every shift cycle the other inputs carry their constant: the
+// PIHold value or the MuxVal.
+func (cfg *ShiftConfig) Varying(withCapture bool) (pis, ffs []int) {
+	for i, h := range cfg.PIHold {
+		if withCapture || !h.IsBinary() {
+			pis = append(pis, i)
+		}
+	}
+	for f, m := range cfg.Muxed {
+		if withCapture || !m {
+			ffs = append(ffs, f)
+		}
+	}
+	return pis, ffs
+}
+
+// shiftInputs returns the (pi, ppi) slices Run hands to ShiftCycle with
+// every held and frozen entry set, and the entries each cycle refreshes.
+func (cfg *ShiftConfig) shiftInputs() (pi, ppi []bool, varPI, varFF []int) {
+	pi = make([]bool, len(cfg.PIHold))
+	for i, h := range cfg.PIHold {
+		pi[i] = h == logic.One
+	}
+	ppi = make([]bool, len(cfg.Muxed))
+	for f, m := range cfg.Muxed {
+		ppi[f] = m && cfg.MuxVal[f]
+	}
+	varPI, varFF = cfg.Varying(false)
+	return pi, ppi, varPI, varFF
+}
+
 // MuxCount returns the number of multiplexed flops.
 func (cfg *ShiftConfig) MuxCount() int {
 	n := 0
@@ -126,10 +162,13 @@ type Hooks struct {
 	// ShiftCycle is called once per shift clock with the combinational
 	// input values seen by the logic during that cycle: pi in PI order,
 	// ppi in FF order (already accounting for MUX freezing). The slices
-	// are reused across calls; copy to retain.
+	// are reused across calls; copy to retain, and do not modify them:
+	// Run writes the held and frozen entries once per run and refreshes
+	// only the Varying ones each cycle.
 	ShiftCycle func(pi, ppi []bool)
 	// Capture is called at each capture clock with the inputs applied
-	// (pattern PI bits, fully loaded state). It must return the
+	// (pattern PI bits, fully loaded state — exactly the pattern's PI
+	// and State). It must return the
 	// next-state response of the combinational logic in FF order (the
 	// simulator's job); Run loads it into the chain so the following
 	// shift-out carries realistic response data.
@@ -161,29 +200,18 @@ func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	}
 	L := ch.Length()
 	chain := make([]bool, L) // chain[p] = content at position p
-	piVals := make([]bool, len(c.PIs))
-	ppiVals := make([]bool, c.NumFFs())
+	piVals, ppiVals, varPI, varFF := cfg.shiftInputs()
+	capVals := make([]bool, c.NumFFs())
 
 	emit := func(patPI []bool) {
 		if hooks.ShiftCycle == nil {
 			return
 		}
-		for i := range piVals {
-			switch cfg.PIHold[i] {
-			case logic.Zero:
-				piVals[i] = false
-			case logic.One:
-				piVals[i] = true
-			default:
-				piVals[i] = patPI[i]
-			}
+		for _, i := range varPI {
+			piVals[i] = patPI[i]
 		}
-		for f := 0; f < c.NumFFs(); f++ {
-			if cfg.Muxed[f] {
-				ppiVals[f] = cfg.MuxVal[f]
-			} else {
-				ppiVals[f] = chain[ch.pos[f]]
-			}
+		for _, f := range varFF {
+			ppiVals[f] = chain[ch.pos[f]]
 		}
 		hooks.ShiftCycle(piVals, ppiVals)
 	}
@@ -212,10 +240,10 @@ func (ch *Chain) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 		}
 		// Capture.
 		if hooks.Capture != nil {
-			for f := 0; f < c.NumFFs(); f++ {
-				ppiVals[f] = chain[ch.pos[f]]
+			for f := range capVals {
+				capVals[f] = chain[ch.pos[f]]
 			}
-			resp := hooks.Capture(pat.PI, ppiVals)
+			resp := hooks.Capture(pat.PI, capVals)
 			if len(resp) != c.NumFFs() {
 				return fmt.Errorf("scan: capture hook returned %d bits for %d flops",
 					len(resp), c.NumFFs())
