@@ -48,13 +48,17 @@ wide-race:
 	$(GO) test -race -run 'Wide|Compile|PackedW|FaultSimW|MeasureScanPacked|EstimatePacked|FillPacked' ./internal/sim/ ./internal/leakage/ ./internal/power/ ./internal/obs/ ./internal/core/ ./internal/atpg/
 
 # Wire-compatibility gate for the v1 job API: golden JSON fixtures under
-# api/testdata round-tripped through the repro/api marshallers and the
-# shared validator, so a refactor that moves a byte on the wire — field
-# renamed, omitempty dropped, error message reworded — fails here before
-# it ships. Regenerate intentionally with:
+# api/testdata for every request body and every response document (job,
+# healthz, cluster, cluster metrics, traces, errors, results), pinned
+# against the server's encoder and the shared validator, then replayed
+# byte for byte through the typed client, which must decode each one to
+# the golden's values. A refactor that moves a byte on the wire, or a
+# field renamed on one side only, fails here before it ships. Regenerate
+# intentionally with:
 #   go test ./api/ -run TestAPICompat -update
+#   go test ./internal/service/ -run TestAPICompatResponses -update
 api-compat:
-	$(GO) test ./api/ -run 'TestAPICompat|TestValidate' -count=1
+	$(GO) test ./api/ ./client/ ./internal/service/ -run 'TestAPICompat|TestValidate' -count=1
 
 # Full service contract against a real scanpowerd process: boots the
 # daemon on a random port, checks the inline-c17 result is bit-identical
