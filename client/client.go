@@ -298,13 +298,25 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) ([]byt
 
 // doHeaders is do with extra request headers.
 func (c *Client) doHeaders(ctx context.Context, method, url string, body []byte, headers map[string]string) ([]byte, error) {
+	resp, raw, err := c.send(ctx, method, url, body, headers)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		return nil, decodeError(resp, raw)
+	}
+	return raw, nil
+}
+
+// send issues one request and returns the response with its body read.
+func (c *Client) send(ctx context.Context, method, url string, body []byte, headers map[string]string) (*http.Response, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, nil, fmt.Errorf("client: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -314,17 +326,14 @@ func (c *Client) doHeaders(ctx context.Context, method, url string, body []byte,
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, nil, fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, nil, fmt.Errorf("client: %w", err)
 	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, decodeError(resp, raw)
-	}
-	return raw, nil
+	return resp, raw, nil
 }
 
 // rotate returns the endpoints starting at the round-robin cursor, so
@@ -536,31 +545,20 @@ type Health struct {
 // 503 with a valid body; that is returned as a Health with Status
 // "draining", not an error.
 func (c *Client) Health(ctx context.Context, node string) (*Health, error) {
-	raw, err := c.do(ctx, http.MethodGet, node+"/v1/healthz", nil)
+	resp, raw, err := c.send(ctx, http.MethodGet, node+"/v1/healthz", nil, nil)
 	if err != nil {
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) {
-			return nil, err
-		}
-		// 503 healthz carries the document in place of an envelope; fall
-		// through to a direct fetch of the body.
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/healthz", nil)
-		if rerr != nil {
-			return nil, err
-		}
-		resp, rerr := c.hc.Do(req)
-		if rerr != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		raw, rerr = io.ReadAll(resp.Body)
-		if rerr != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	var h Health
-	if err := json.Unmarshal(raw, &h); err != nil {
-		return nil, fmt.Errorf("client: bad healthz document: %w", err)
+	derr := json.Unmarshal(raw, &h)
+	ok := resp.StatusCode >= 200 && resp.StatusCode < 300
+	switch {
+	case ok && derr != nil:
+		return nil, fmt.Errorf("client: bad healthz document: %w", derr)
+	case !ok && (derr != nil || h.Status == ""):
+		// Only a draining node's 503 carries the document in place of an
+		// envelope; anything else is an ordinary error response.
+		return nil, decodeError(resp, raw)
 	}
 	return &h, nil
 }

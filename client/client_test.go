@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +387,32 @@ func TestTraceAndMetrics(t *testing.T) {
 	}
 	if ms.Counters[service.MetricJobsSubmitted] != cm.Fused.Counters[service.MetricJobsSubmitted] {
 		t.Errorf("single-node fusion differs from the node snapshot")
+	}
+}
+
+// TestHealthDrainingOneRequest: a draining node's 503 healthz document is
+// decoded from the one response that carried it, not re-fetched.
+func TestHealthDrainingOneRequest(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"status": "draining", "queue_capacity": 4}`))
+	}))
+	defer srv.Close()
+	cl, err := New([]string{srv.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cl.Health(context.Background(), srv.URL)
+	if err != nil {
+		t.Fatalf("Health: %v", err)
+	}
+	if h.Status != "draining" || h.QueueCapacity != 4 {
+		t.Errorf("health = %+v", h)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("Health sent %d requests, want 1", n)
 	}
 }
