@@ -49,16 +49,16 @@ wide-race:
 
 # Wire-compatibility gate for the v1 job API: golden JSON fixtures under
 # api/testdata for every request body and every response document (job,
-# healthz, cluster, cluster metrics, traces, errors, results), pinned
-# against the server's encoder and the shared validator, then replayed
-# byte for byte through the typed client, which must decode each one to
-# the golden's values. A refactor that moves a byte on the wire, or a
-# field renamed on one side only, fails here before it ships. Regenerate
-# intentionally with:
+# healthz, cluster, cluster metrics, traces, errors, results),
+# round-tripped through the repro/api types and the shared validator,
+# then replayed byte for byte through the typed client and the server's
+# peer pulls, which must decode each one to the golden's values. A
+# go/ast check keeps every document declared once, in api. A refactor
+# that moves a byte on the wire, or a field renamed on one side only,
+# fails here before it ships. Regenerate intentionally with:
 #   go test ./api/ -run TestAPICompat -update
-#   go test ./internal/service/ -run TestAPICompatResponses -update
 api-compat:
-	$(GO) test ./api/ ./client/ ./internal/service/ -run 'TestAPICompat|TestValidate' -count=1
+	$(GO) test ./api/ ./client/ ./internal/service/ -run 'TestAPICompat|TestValidate|TestDocumentsDeclaredOnlyInAPI' -count=1
 
 # Full service contract against a real scanpowerd process: boots the
 # daemon on a random port, checks the inline-c17 result is bit-identical

@@ -4,6 +4,29 @@
 // both sides run, so a request the client accepts is a request the server
 // accepts and vice versa.
 //
+// # Documents
+//
+// Every v1 body is declared here once; the server encodes these types
+// and decodes its peers' answers into them, and the client decodes into
+// them too (its Health, ClusterStatus, Trace, ... are aliases):
+//
+//	SubmitBody          POST /v1/jobs request (Source, Activity)
+//	JobDoc              POST /v1/jobs, GET and DELETE /v1/jobs/{id}
+//	Trace, Span         GET /v1/jobs/{id}/trace (scanpower/trace/v1)
+//	TraceSegments       GET /v1/traces/{id}
+//	BenchmarksResponse  GET /v1/benchmarks (Benchmark)
+//	Health              GET /v1/healthz (StoreStatus)
+//	ClusterStatus       GET /v1/cluster (ClusterNode, StoreStatus)
+//	MetricsSnapshot     GET /v1/node/metrics (HistogramSnapshot)
+//	ClusterMetrics      GET /v1/cluster/metrics (NodeMetrics,
+//	                    MetricsSummary, LatencySummary, MetricsSnapshot)
+//	Envelope            every non-2xx response (EnvelopeBody)
+//
+// Span, MetricsSnapshot and HistogramSnapshot alias the internal/telemetry
+// types the server serialises. The scanpower/comparison/v1 result is
+// scanpower.Comparison in the root package. Each document is pinned by a
+// golden fixture under testdata (`make api-compat`).
+//
 // # Source union
 //
 // POST /v1/jobs selects the circuit through a discriminated union:
@@ -313,33 +336,4 @@ func (a *Activity) Profile(piNames []string) (*power.ActivityProfile, *Error) {
 		}
 	}
 	return p, nil
-}
-
-// Benchmark is one structured entry of the GET /v1/benchmarks response.
-type Benchmark struct {
-	Name string `json:"name"`
-	// Gates, ScanCells and Chains are the circuit's published statistics:
-	// combinational gate count, scan-chain flip-flops, and scan chains
-	// (the Table I experiments use a single chain).
-	Gates     int `json:"gates"`
-	ScanCells int `json:"scan_cells"`
-	Chains    int `json:"chains"`
-}
-
-// BenchmarksResponse is the GET /v1/benchmarks body: structured entries,
-// plus the historical bare name array under "names".
-type BenchmarksResponse struct {
-	Benchmarks []Benchmark `json:"benchmarks"`
-	Names      []string    `json:"names"`
-}
-
-// Envelope is the {"error": {...}} body of every non-2xx response.
-type Envelope struct {
-	Error EnvelopeBody `json:"error"`
-}
-
-// EnvelopeBody carries the machine code and human message of an error.
-type EnvelopeBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
 }

@@ -1,8 +1,9 @@
-// Package client is the Go client for the scanpowerd v1 job API. It is
-// the one place that knows the wire details — the JSON request and
-// response shapes, the `{"error":{"code","message"}}` envelope, the
-// Retry-After contract — so callers program against typed requests,
-// typed jobs and sentinel errors instead of raw HTTP.
+// Package client is the Go client for the scanpowerd v1 job API. It
+// knows the HTTP details — endpoints, the `{"error":{"code","message"}}`
+// envelope, the Retry-After contract — so callers program against typed
+// requests, typed jobs and sentinel errors instead of raw HTTP. The JSON
+// documents themselves are the repro/api types the server encodes; the
+// document names here (Health, ClusterStatus, Trace, ...) are aliases.
 //
 // The client is cluster-aware. It takes the full endpoint list at
 // construction; submits rotate across live endpoints and fail over past
@@ -222,32 +223,15 @@ func (j *Job) Terminal() bool {
 	return false
 }
 
-// wireJob is the server's job document.
-type wireJob struct {
-	ID        string `json:"id"`
-	Node      string `json:"node"`
-	TraceID   string `json:"trace_id"`
-	Circuit   string `json:"circuit"`
-	Measure   string `json:"measure"`
-	State     string `json:"state"`
-	Coalesced bool   `json:"coalesced"`
-	TimeoutMS int64  `json:"timeout_ms"`
-	Error     string `json:"error"`
-	Created   string `json:"created"`
-	Started   string `json:"started"`
-	Finished  string `json:"finished"`
-	ResultURL string `json:"result_url"`
-}
-
 func parseStamp(s string) time.Time {
 	t, _ := time.Parse(time.RFC3339Nano, s)
 	return t
 }
 
-// job converts the wire document, defaulting the owning node to the
+// jobFrom converts the wire document, defaulting the owning node to the
 // endpoint that answered when the server does not advertise one
 // (single-node daemons without -self).
-func (w *wireJob) job(answeredBy string) *Job {
+func jobFrom(w *api.JobDoc, answeredBy string) *Job {
 	node := w.Node
 	if node == "" {
 		node = answeredBy
@@ -270,12 +254,7 @@ func (w *wireJob) job(answeredBy string) *Job {
 
 // decodeError turns a non-2xx response into an *APIError.
 func decodeError(resp *http.Response, body []byte) error {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env api.Envelope
 	apiErr := &APIError{Status: resp.StatusCode}
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		apiErr.Code = env.Error.Code
@@ -399,11 +378,11 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*Job, error) {
 			lastErr = err // transport failure or draining: try the next node
 			continue
 		}
-		var w wireJob
+		var w api.JobDoc
 		if err := json.Unmarshal(raw, &w); err != nil {
 			return nil, fmt.Errorf("client: bad job document: %w", err)
 		}
-		return w.job(ep), nil
+		return jobFrom(&w, ep), nil
 	}
 	if lastErr != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNoEndpoints, lastErr)
@@ -417,11 +396,11 @@ func (c *Client) jobCall(ctx context.Context, method string, j *Job, path string
 	if err != nil {
 		return nil, err
 	}
-	var w wireJob
+	var w api.JobDoc
 	if err := json.Unmarshal(raw, &w); err != nil {
 		return nil, fmt.Errorf("client: bad job document: %w", err)
 	}
-	return w.job(j.Node), nil
+	return jobFrom(&w, j.Node), nil
 }
 
 // Status fetches the job's current state from its owning node.
@@ -511,35 +490,22 @@ func (c *Client) BenchmarkNames(ctx context.Context) ([]string, error) {
 	return names, nil
 }
 
-// StoreStatus is a daemon's persistent result store view.
-type StoreStatus struct {
-	Dir       string `json:"dir"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Hits      int64  `json:"hits"`
-	Misses    int64  `json:"misses"`
-	Puts      int64  `json:"puts"`
-	Evictions int64  `json:"evictions"`
-	Corrupt   int64  `json:"corrupt"`
-}
-
-// Health is the GET /v1/healthz document.
-type Health struct {
-	Status        string       `json:"status"`
-	Node          string       `json:"node"`
-	UptimeSec     float64      `json:"uptime_sec"`
-	Version       string       `json:"version"`
-	GoVersion     string       `json:"go_version"`
-	Revision      string       `json:"revision"`
-	QueueDepth    int          `json:"queue_depth"`
-	QueueCapacity int          `json:"queue_capacity"`
-	Inflight      int          `json:"inflight"`
-	Workers       int          `json:"workers"`
-	Jobs          int          `json:"jobs"`
-	CacheHits     int64        `json:"cache_hits"`
-	CacheMisses   int64        `json:"cache_misses"`
-	Store         *StoreStatus `json:"store"`
-}
+// The v1 response documents, declared once in repro/api and shared with
+// the server.
+type (
+	Health            = api.Health
+	StoreStatus       = api.StoreStatus
+	ClusterStatus     = api.ClusterStatus
+	ClusterNode       = api.ClusterNode
+	ClusterMetrics    = api.ClusterMetrics
+	NodeMetrics       = api.NodeMetrics
+	MetricsSummary    = api.MetricsSummary
+	LatencySummary    = api.LatencySummary
+	MetricsSnapshot   = api.MetricsSnapshot
+	HistogramSnapshot = api.HistogramSnapshot
+	Trace             = api.Trace
+	Span              = api.Span
+)
 
 // Health fetches one node's healthz document. A draining daemon answers
 // 503 with a valid body; that is returned as a Health with Status
@@ -563,26 +529,6 @@ func (c *Client) Health(ctx context.Context, node string) (*Health, error) {
 	return &h, nil
 }
 
-// ClusterNode is one member's row in the cluster status.
-type ClusterNode struct {
-	Node       string `json:"node"`
-	Self       bool   `json:"self"`
-	Healthy    bool   `json:"healthy"`
-	Draining   bool   `json:"draining"`
-	Error      string `json:"error"`
-	QueueDepth int    `json:"queue_depth"`
-	Inflight   int    `json:"inflight"`
-	Jobs       int    `json:"jobs"`
-}
-
-// ClusterStatus is the GET /v1/cluster document.
-type ClusterStatus struct {
-	Schema string        `json:"schema"`
-	Self   string        `json:"self"`
-	Nodes  []ClusterNode `json:"nodes"`
-	Store  *StoreStatus  `json:"store"`
-}
-
 // ClusterStatus fetches the membership view from the first reachable
 // endpoint.
 func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatus, error) {
@@ -602,27 +548,6 @@ func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatus, error) {
 	return nil, fmt.Errorf("%w: %w", ErrNoEndpoints, lastErr)
 }
 
-// Span is one finished span of a distributed trace.
-type Span struct {
-	SpanID string         `json:"span_id"`
-	Parent string         `json:"parent_id"`
-	Name   string         `json:"name"`
-	Node   string         `json:"node"`
-	Start  time.Time      `json:"start"`
-	DurNS  int64          `json:"dur_ns"`
-	Attrs  map[string]any `json:"attrs"`
-}
-
-// Trace is the GET /v1/jobs/{id}/trace document: the merged cross-node
-// span tree of one job's distributed trace.
-type Trace struct {
-	Schema  string   `json:"schema"`
-	TraceID string   `json:"trace_id"`
-	JobID   string   `json:"job_id"`
-	Nodes   []string `json:"nodes"`
-	Spans   []Span   `json:"spans"`
-}
-
 // Trace fetches the job's merged distributed trace from its owning node,
 // which pulls the remote segments (the forwarding hop's ingress span, for
 // example) from its peers before merging.
@@ -636,60 +561,6 @@ func (c *Client) Trace(ctx context.Context, j *Job) (*Trace, error) {
 		return nil, fmt.Errorf("client: bad trace document: %w", err)
 	}
 	return &t, nil
-}
-
-// HistogramSnapshot is one histogram series in a metrics snapshot:
-// sorted finite upper bounds and len(bounds)+1 bucket counts (the last
-// bucket is +Inf).
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// MetricsSnapshot is one registry's typed export (GET /v1/node/metrics),
-// and the fused block of the cluster metrics document.
-type MetricsSnapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// LatencySummary is the fused percentile view of one endpoint.
-type LatencySummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_sec"`
-	P95   float64 `json:"p95_sec"`
-	P99   float64 `json:"p99_sec"`
-}
-
-// MetricsSummary is the operator digest of one node (or of the fusion).
-type MetricsSummary struct {
-	QueueDepth   float64                   `json:"queue_depth"`
-	Inflight     float64                   `json:"inflight"`
-	Jobs         map[string]int64          `json:"jobs_by_state"`
-	StoreHits    int64                     `json:"store_hits"`
-	StoreMisses  int64                     `json:"store_misses"`
-	StoreHitRate float64                   `json:"store_hit_rate"`
-	Latency      map[string]LatencySummary `json:"latency"`
-}
-
-// NodeMetrics is one member's row in the cluster metrics document.
-type NodeMetrics struct {
-	Node    string          `json:"node"`
-	Self    bool            `json:"self"`
-	Error   string          `json:"error"`
-	Summary *MetricsSummary `json:"summary"`
-}
-
-// ClusterMetrics is the GET /v1/cluster/metrics document.
-type ClusterMetrics struct {
-	Schema  string           `json:"schema"`
-	Self    string           `json:"self"`
-	Summary MetricsSummary   `json:"summary"`
-	Nodes   []NodeMetrics    `json:"nodes"`
-	Fused   *MetricsSnapshot `json:"fused"`
 }
 
 // ClusterMetrics fetches the fused cluster metrics snapshot from the

@@ -312,9 +312,7 @@ func circuitLabel(req *submitRequest) string {
 // the forwarding node's trace segment can be found by job as well as by
 // trace. Non-job bodies (error envelopes) yield "".
 func relayedJobID(body []byte) string {
-	var jr struct {
-		ID string `json:"id"`
-	}
+	var jr api.JobDoc
 	if err := json.Unmarshal(body, &jr); err != nil {
 		return ""
 	}
@@ -337,61 +335,15 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-// clusterNode is one member's row in the GET /v1/cluster response.
-type clusterNode struct {
-	Node       string `json:"node"`
-	Self       bool   `json:"self,omitempty"`
-	Healthy    bool   `json:"healthy"`
-	Draining   bool   `json:"draining,omitempty"`
-	Error      string `json:"error,omitempty"`
-	QueueDepth int    `json:"queue_depth,omitempty"`
-	Inflight   int    `json:"inflight,omitempty"`
-	Jobs       int    `json:"jobs,omitempty"`
-}
-
-// storeStatus is the persistent store's block in cluster and healthz
-// responses.
-type storeStatus struct {
-	Dir       string `json:"dir,omitempty"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Hits      int64  `json:"hits"`
-	Misses    int64  `json:"misses"`
-	Puts      int64  `json:"puts"`
-	Evictions int64  `json:"evictions"`
-	Corrupt   int64  `json:"corrupt"`
-}
-
-// clusterResponse is the GET /v1/cluster body.
-type clusterResponse struct {
-	Schema string        `json:"schema"`
-	Self   string        `json:"self,omitempty"`
-	Nodes  []clusterNode `json:"nodes"`
-	Store  *storeStatus  `json:"store,omitempty"`
-}
-
 // probeClient health-checks peers for /v1/cluster; short timeout so one
 // dead peer cannot stall the whole status page.
 var probeClient = &http.Client{Timeout: probeTimeout}
 
 // probePeer asks one peer for its healthz view.
-func probePeer(ctx context.Context, node string) clusterNode {
-	out := clusterNode{Node: node}
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/healthz", nil)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	resp, err := probeClient.Do(req)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	defer resp.Body.Close()
-	var hz healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+func probePeer(ctx context.Context, node string) api.ClusterNode {
+	out := api.ClusterNode{Node: node}
+	var hz api.Health
+	if err := getJSON(ctx, node+"/v1/healthz", &hz); err != nil {
 		out.Error = err.Error()
 		return out
 	}
@@ -403,6 +355,23 @@ func probePeer(ctx context.Context, node string) clusterNode {
 	return out
 }
 
+// getJSON decodes the JSON document at a peer's url into dst, bounded by
+// probeTimeout.
+func getJSON(ctx context.Context, url string, dst any) error {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := probeClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(dst)
+}
+
 // handleCluster serves GET /v1/cluster: this node's view of the
 // membership (self plus concurrently health-probed peers) and its
 // persistent store. Single-node deployments get a one-row membership.
@@ -412,10 +381,10 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if selfName == "" {
 		selfName = "local"
 	}
-	resp := clusterResponse{
+	resp := api.ClusterStatus{
 		Schema: ClusterSchemaV1,
 		Self:   s.opts.Self,
-		Nodes: []clusterNode{{
+		Nodes: []api.ClusterNode{{
 			Node:       selfName,
 			Self:       true,
 			Healthy:    true,
@@ -432,7 +401,7 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 				peers = append(peers, node)
 			}
 		}
-		rows := make([]clusterNode, len(peers))
+		rows := make([]api.ClusterNode, len(peers))
 		var wg sync.WaitGroup
 		for i, node := range peers {
 			wg.Add(1)
@@ -444,17 +413,6 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 		wg.Wait()
 		resp.Nodes = append(resp.Nodes, rows...)
 	}
-	if s.store != nil {
-		resp.Store = &storeStatus{
-			Dir:       s.store.Dir(),
-			Entries:   st.Store.Entries,
-			Bytes:     st.Store.Bytes,
-			Hits:      st.Store.Hits,
-			Misses:    st.Store.Misses,
-			Puts:      st.Store.Puts,
-			Evictions: st.Store.Evictions,
-			Corrupt:   st.Store.Corrupt,
-		}
-	}
+	resp.Store = s.storeStatus(st)
 	writeJSON(w, http.StatusOK, resp)
 }

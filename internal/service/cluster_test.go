@@ -212,13 +212,13 @@ func TestClusterForwarding(t *testing.T) {
 
 	// The job is pollable on the node the response named.
 	id, _ := body["id"].(string)
-	jcode, _, jbody := getJSON(t, urlB+"/v1/jobs/"+id)
+	jcode, _, jbody := fetchJSON(t, urlB+"/v1/jobs/"+id)
 	if jcode != http.StatusOK || jbody["state"] != "done" {
 		t.Errorf("poll on owner: status %d (%v)", jcode, jbody)
 	}
 
 	// /v1/cluster from A sees both members, the peer healthy.
-	ccode, _, cbody := getJSON(t, urlA+"/v1/cluster")
+	ccode, _, cbody := fetchJSON(t, urlA+"/v1/cluster")
 	if ccode != http.StatusOK || cbody["schema"] != ClusterSchemaV1 || cbody["self"] != urlA {
 		t.Fatalf("cluster status: %d (%v)", ccode, cbody)
 	}
@@ -283,7 +283,7 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// /v1/cluster reports the peer unreachable.
-	_, _, cbody := getJSON(t, urlA+"/v1/cluster")
+	_, _, cbody := fetchJSON(t, urlA+"/v1/cluster")
 	for _, n := range cbody["nodes"].([]any) {
 		row := n.(map[string]any)
 		if row["node"] == deadURL && row["healthy"] == true {
@@ -383,7 +383,7 @@ func TestServiceStoreWarmRestart(t *testing.T) {
 	}
 
 	// healthz carries the store block.
-	_, _, hz := getJSON(t, srv2.URL+"/v1/healthz")
+	_, _, hz := fetchJSON(t, srv2.URL+"/v1/healthz")
 	st, _ := hz["store"].(map[string]any)
 	if st == nil || st["entries"].(float64) != 1 || st["hits"].(float64) != 1 {
 		t.Errorf("healthz store block = %v", hz["store"])
@@ -456,7 +456,7 @@ func TestServiceStoreCorruptionRecomputes(t *testing.T) {
 // answers with a one-row membership.
 func TestSingleNodeClusterEndpoint(t *testing.T) {
 	_, srv := newTestServer(t, Options{Workers: 1, QueueSize: 1})
-	code, _, body := getJSON(t, srv.URL+"/v1/cluster")
+	code, _, body := fetchJSON(t, srv.URL+"/v1/cluster")
 	if code != http.StatusOK || body["schema"] != ClusterSchemaV1 {
 		t.Fatalf("cluster: status %d (%v)", code, body)
 	}

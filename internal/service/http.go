@@ -79,14 +79,6 @@ func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// errorEnvelope is the wire form of every non-2xx response body.
-type errorEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -96,10 +88,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	var env errorEnvelope
-	env.Error.Code = code
-	env.Error.Message = msg
-	writeJSON(w, status, env)
+	writeJSON(w, status, api.Envelope{Error: api.EnvelopeBody{Code: code, Message: msg}})
 }
 
 // submitRequest is the POST /v1/jobs body: the shared wire type of
@@ -108,26 +97,6 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // union, the optional activity block, and the legacy flat fields.
 type submitRequest = api.SubmitBody
 
-// jobResponse is the wire form of a job's observable state. Node is the
-// owning daemon's base URL (when configured): in cluster mode a submit
-// may be forwarded, and polls, cancels and result fetches for the job
-// must go to the node named here.
-type jobResponse struct {
-	ID        string `json:"id"`
-	Node      string `json:"node,omitempty"`
-	TraceID   string `json:"trace_id,omitempty"`
-	Circuit   string `json:"circuit"`
-	Measure   string `json:"measure"`
-	State     string `json:"state"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Created   string `json:"created,omitempty"`
-	Started   string `json:"started,omitempty"`
-	Finished  string `json:"finished,omitempty"`
-	ResultURL string `json:"result_url,omitempty"`
-}
-
 func stamp(t time.Time) string {
 	if t.IsZero() {
 		return ""
@@ -135,9 +104,9 @@ func stamp(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
-func (s *Service) jobJSON(j *Job, coalesced bool) jobResponse {
+func (s *Service) jobJSON(j *Job, coalesced bool) api.JobDoc {
 	snap := s.Snapshot(j)
-	resp := jobResponse{
+	resp := api.JobDoc{
 		ID:        snap.ID,
 		Node:      s.opts.Self,
 		TraceID:   snap.TraceID,
@@ -353,27 +322,9 @@ func (s *Service) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// healthzResponse is the GET /v1/healthz body.
-type healthzResponse struct {
-	Status        string       `json:"status"`
-	Node          string       `json:"node,omitempty"`
-	UptimeSec     float64      `json:"uptime_sec"`
-	Version       string       `json:"version,omitempty"`
-	GoVersion     string       `json:"go_version,omitempty"`
-	Revision      string       `json:"revision,omitempty"`
-	QueueDepth    int          `json:"queue_depth"`
-	QueueCapacity int          `json:"queue_capacity"`
-	Inflight      int          `json:"inflight"`
-	Workers       int          `json:"workers"`
-	Jobs          int          `json:"jobs"`
-	CacheHits     int64        `json:"cache_hits"`
-	CacheMisses   int64        `json:"cache_misses"`
-	Store         *storeStatus `json:"store,omitempty"`
-}
-
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	resp := healthzResponse{
+	resp := api.Health{
 		Status:        "ok",
 		Node:          s.node,
 		UptimeSec:     time.Since(s.started).Seconds(),
@@ -387,18 +338,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Jobs:          st.Jobs,
 		CacheHits:     st.CacheHits,
 		CacheMisses:   st.CacheMisses,
-	}
-	if s.store != nil {
-		resp.Store = &storeStatus{
-			Dir:       s.store.Dir(),
-			Entries:   st.Store.Entries,
-			Bytes:     st.Store.Bytes,
-			Hits:      st.Store.Hits,
-			Misses:    st.Store.Misses,
-			Puts:      st.Store.Puts,
-			Evictions: st.Store.Evictions,
-			Corrupt:   st.Store.Corrupt,
-		}
+		Store:         s.storeStatus(st),
 	}
 	status := http.StatusOK
 	if st.Draining {
@@ -406,4 +346,22 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)
+}
+
+// storeStatus is the persistent store's block of the healthz and cluster
+// documents; nil without a store.
+func (s *Service) storeStatus(st Stats) *api.StoreStatus {
+	if s.store == nil {
+		return nil
+	}
+	return &api.StoreStatus{
+		Dir:       s.store.Dir(),
+		Entries:   st.Store.Entries,
+		Bytes:     st.Store.Bytes,
+		Hits:      st.Store.Hits,
+		Misses:    st.Store.Misses,
+		Puts:      st.Store.Puts,
+		Evictions: st.Store.Evictions,
+		Corrupt:   st.Store.Corrupt,
+	}
 }

@@ -2,39 +2,15 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
 
-	"repro/internal/telemetry"
+	"repro/api"
 )
 
 // ClusterMetricsSchemaV1 tags the GET /v1/cluster/metrics response.
 const ClusterMetricsSchemaV1 = "scanpower/cluster-metrics/v1"
-
-// latencySummary is the fused view of one endpoint's request-latency
-// histogram.
-type latencySummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_sec"`
-	P95   float64 `json:"p95_sec"`
-	P99   float64 `json:"p99_sec"`
-}
-
-// metricsSummary is the operator-facing digest of one registry snapshot:
-// occupancy, job outcomes, store efficiency and request latency. Computed
-// per node and for the fused cluster snapshot with the same code, so the
-// cluster row is exactly the sum of the node rows.
-type metricsSummary struct {
-	QueueDepth   float64                   `json:"queue_depth"`
-	Inflight     float64                   `json:"inflight"`
-	Jobs         map[string]int64          `json:"jobs_by_state,omitempty"`
-	StoreHits    int64                     `json:"store_hits"`
-	StoreMisses  int64                     `json:"store_misses"`
-	StoreHitRate float64                   `json:"store_hit_rate"`
-	Latency      map[string]latencySummary `json:"latency,omitempty"`
-}
 
 // labelValue extracts the first label's value from a series name of the
 // form family{label="value",...}; "" when the series has no labels.
@@ -51,8 +27,8 @@ func labelValue(series, family, label string) (string, bool) {
 }
 
 // summarize digests a registry snapshot into the summary block.
-func summarize(snap *telemetry.RegistrySnapshot) metricsSummary {
-	out := metricsSummary{
+func summarize(snap *api.MetricsSnapshot) api.MetricsSummary {
+	out := api.MetricsSummary{
 		QueueDepth: snap.Gauges[MetricQueueDepth],
 		Inflight:   snap.Gauges[MetricInflight],
 	}
@@ -79,9 +55,9 @@ func summarize(snap *telemetry.RegistrySnapshot) metricsSummary {
 			continue
 		}
 		if out.Latency == nil {
-			out.Latency = map[string]latencySummary{}
+			out.Latency = map[string]api.LatencySummary{}
 		}
-		out.Latency[endpoint] = latencySummary{
+		out.Latency[endpoint] = api.LatencySummary{
 			Count: hs.Count,
 			P50:   hs.Quantile(0.50),
 			P95:   hs.Quantile(0.95),
@@ -89,26 +65,6 @@ func summarize(snap *telemetry.RegistrySnapshot) metricsSummary {
 		}
 	}
 	return out
-}
-
-// nodeMetricsRow is one member's block in the cluster metrics response.
-type nodeMetricsRow struct {
-	Node    string          `json:"node"`
-	Self    bool            `json:"self,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Summary *metricsSummary `json:"summary,omitempty"`
-}
-
-// clusterMetricsResponse is the GET /v1/cluster/metrics body: the fused
-// registry snapshot (counters and gauges summed per series, histogram
-// buckets bit-exact sums), an operator summary of the fusion, and the
-// per-node breakdown.
-type clusterMetricsResponse struct {
-	Schema  string                      `json:"schema"`
-	Self    string                      `json:"self,omitempty"`
-	Summary metricsSummary              `json:"summary"`
-	Nodes   []nodeMetricsRow            `json:"nodes"`
-	Fused   *telemetry.RegistrySnapshot `json:"fused"`
 }
 
 // handleNodeMetrics serves this node's typed registry snapshot — the raw
@@ -123,12 +79,12 @@ func (s *Service) handleNodeMetrics(w http.ResponseWriter, r *http.Request) {
 // error row instead of failing the query.
 func (s *Service) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	self := s.reg.Export()
-	resp := clusterMetricsResponse{
+	resp := api.ClusterMetrics{
 		Schema: ClusterMetricsSchemaV1,
 		Self:   s.opts.Self,
 	}
 	selfSummary := summarize(self)
-	resp.Nodes = append(resp.Nodes, nodeMetricsRow{
+	resp.Nodes = append(resp.Nodes, api.NodeMetrics{
 		Node: s.node, Self: true, Summary: &selfSummary,
 	})
 	fused := self.Clone()
@@ -140,7 +96,7 @@ func (s *Service) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 				peers = append(peers, node)
 			}
 		}
-		snaps := make([]*telemetry.RegistrySnapshot, len(peers))
+		snaps := make([]*api.MetricsSnapshot, len(peers))
 		errs := make([]error, len(peers))
 		var wg sync.WaitGroup
 		for i, node := range peers {
@@ -152,7 +108,7 @@ func (s *Service) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 		for i, node := range peers {
-			row := nodeMetricsRow{Node: node}
+			row := api.NodeMetrics{Node: node}
 			switch {
 			case errs[i] != nil:
 				row.Error = errs[i].Error()
@@ -177,20 +133,9 @@ func (s *Service) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // pullNodeMetrics fetches one peer's typed registry snapshot.
-func pullNodeMetrics(ctx context.Context, node string) (*telemetry.RegistrySnapshot, error) {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/node/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := probeClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var snap telemetry.RegistrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+func pullNodeMetrics(ctx context.Context, node string) (*api.MetricsSnapshot, error) {
+	var snap api.MetricsSnapshot
+	if err := getJSON(ctx, node+"/v1/node/metrics", &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil

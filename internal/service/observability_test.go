@@ -16,7 +16,7 @@ import (
 // traceDoc fetches and decodes GET /v1/jobs/{id}/trace.
 func traceDoc(t *testing.T, base, id string) (int, map[string]any) {
 	t.Helper()
-	code, _, body := getJSON(t, base+"/v1/jobs/"+id+"/trace")
+	code, _, body := fetchJSON(t, base+"/v1/jobs/"+id+"/trace")
 	return code, body
 }
 
@@ -374,7 +374,7 @@ func TestClusterMetricsFusion(t *testing.T) {
 	}
 
 	snapA, snapB := metricsSnap(t, urlA), metricsSnap(t, urlB)
-	code, _, body := getJSON(t, urlA+"/v1/cluster/metrics")
+	code, _, body := fetchJSON(t, urlA+"/v1/cluster/metrics")
 	if code != http.StatusOK || body["schema"] != ClusterMetricsSchemaV1 {
 		t.Fatalf("cluster metrics: status %d (%v)", code, body)
 	}
@@ -449,7 +449,7 @@ func TestClusterMetricsFusion(t *testing.T) {
 // build identity.
 func TestHealthzIdentity(t *testing.T) {
 	_, srv := newTestServer(t, Options{Workers: 1, QueueSize: 1, Node: "alpha"})
-	code, _, body := getJSON(t, srv.URL+"/v1/healthz")
+	code, _, body := fetchJSON(t, srv.URL+"/v1/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz: status %d (%v)", code, body)
 	}

@@ -78,7 +78,7 @@ func postJob(t *testing.T, base string, body map[string]any) (int, http.Header, 
 	return resp.StatusCode, resp.Header, out
 }
 
-func getJSON(t *testing.T, url string) (int, http.Header, map[string]any) {
+func fetchJSON(t *testing.T, url string) (int, http.Header, map[string]any) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -107,7 +107,7 @@ func pollState(t *testing.T, base, id string, want func(string) bool) map[string
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		code, _, body := getJSON(t, base+"/v1/jobs/"+id)
+		code, _, body := fetchJSON(t, base+"/v1/jobs/"+id)
 		if code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d (%v)", id, code, body)
 		}
@@ -203,7 +203,7 @@ func TestSubmitAsyncPoll(t *testing.T) {
 	id, _ := body["id"].(string)
 	<-started
 
-	rcode, hdr, rbody := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
+	rcode, hdr, rbody := fetchJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
 	if rcode != http.StatusConflict || errCode(t, rbody) != "not_ready" {
 		t.Fatalf("early result: status %d code %q", rcode, errCode(t, rbody))
 	}
@@ -327,7 +327,7 @@ func TestJobDeadline(t *testing.T) {
 		t.Errorf("failed job error %q does not mention the deadline", msg)
 	}
 
-	rcode, _, rbody := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
+	rcode, _, rbody := fetchJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
 	if rcode != http.StatusGatewayTimeout || errCode(t, rbody) != "deadline_exceeded" {
 		t.Errorf("result: status %d code %q, want 504 deadline_exceeded", rcode, errCode(t, rbody))
 	}
@@ -377,7 +377,7 @@ func TestWaitDisconnectCancels(t *testing.T) {
 	}
 	got := pollState(t, srv.URL, id, func(st string) bool { return st == "canceled" })
 
-	rcode, _, rbody := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
+	rcode, _, rbody := fetchJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
 	if rcode != http.StatusGone || errCode(t, rbody) != "canceled" {
 		t.Errorf("result of canceled job: status %d code %q, want 410 canceled", rcode, errCode(t, rbody))
 	}
@@ -438,7 +438,7 @@ func TestDrainRejectsSubmits(t *testing.T) {
 	// healthz flips to draining.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		hcode, _, hbody := getJSON(t, srv.URL+"/v1/healthz")
+		hcode, _, hbody := fetchJSON(t, srv.URL+"/v1/healthz")
 		if hcode == http.StatusServiceUnavailable && hbody["status"] == "draining" {
 			break
 		}
@@ -491,7 +491,7 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 
-	if code, _, body := getJSON(t, srv.URL+"/v1/jobs/job-999"); code != http.StatusNotFound ||
+	if code, _, body := fetchJSON(t, srv.URL+"/v1/jobs/job-999"); code != http.StatusNotFound ||
 		errCode(t, body) != "unknown_job" {
 		t.Errorf("unknown job: status %d code %q", code, errCode(t, body))
 	}
@@ -501,7 +501,7 @@ func TestSubmitValidation(t *testing.T) {
 // with published statistics, plus the historical bare name array.
 func TestBenchmarksEndpoint(t *testing.T) {
 	_, srv := newTestServer(t, Options{Workers: 1, QueueSize: 1})
-	code, _, body := getJSON(t, srv.URL+"/v1/benchmarks")
+	code, _, body := fetchJSON(t, srv.URL+"/v1/benchmarks")
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/benchmarks: status %d", code)
 	}
@@ -551,7 +551,7 @@ func TestFailedJobLeavesCoalescingMap(t *testing.T) {
 	id := body["id"].(string)
 	pollState(t, srv.URL, id, func(st string) bool { return st == "failed" })
 
-	rcode, _, rbody := getJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
+	rcode, _, rbody := fetchJSON(t, srv.URL+"/v1/jobs/"+id+"/result")
 	if rcode != http.StatusInternalServerError || errCode(t, rbody) != "job_failed" {
 		t.Errorf("failed result: status %d code %q", rcode, errCode(t, rbody))
 	}

@@ -2,40 +2,22 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"sync"
 
+	"repro/api"
 	"repro/internal/telemetry"
 )
 
 // TraceSchemaV1 tags the GET /v1/jobs/{id}/trace response document.
 const TraceSchemaV1 = "scanpower/trace/v1"
 
-// traceSegmentsResponse is the GET /v1/traces/{id} body: one node's raw
-// retained segments of a trace, the unit a peer pulls while merging.
-type traceSegmentsResponse struct {
-	TraceID  string               `json:"trace_id"`
-	Node     string               `json:"node,omitempty"`
-	Segments []telemetry.JobTrace `json:"segments"`
-}
-
-// traceResponse is the GET /v1/jobs/{id}/trace body: the merged
-// cross-node span tree of the job's trace.
-type traceResponse struct {
-	Schema  string                 `json:"schema"`
-	TraceID string                 `json:"trace_id"`
-	JobID   string                 `json:"job_id"`
-	Nodes   []string               `json:"nodes"`
-	Spans   []telemetry.SpanRecord `json:"spans"`
-}
-
 // handleTraceSegments serves this node's retained segments of one trace,
 // raw and unmerged. Peers answering a trace query pull this endpoint.
 func (s *Service) handleTraceSegments(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	writeJSON(w, http.StatusOK, traceSegmentsResponse{
+	writeJSON(w, http.StatusOK, api.TraceSegments{
 		TraceID:  id,
 		Node:     s.node,
 		Segments: s.traces.ByTrace(id),
@@ -64,7 +46,7 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	segments := s.traces.ByTrace(traceID)
 	segments = append(segments, s.pullPeerSegments(r.Context(), traceID)...)
 
-	resp := traceResponse{Schema: TraceSchemaV1, TraceID: traceID, JobID: id}
+	resp := api.Trace{Schema: TraceSchemaV1, TraceID: traceID, JobID: id}
 	nodeSet := map[string]bool{}
 	for _, seg := range segments {
 		for _, sp := range seg.Spans {
@@ -127,19 +109,8 @@ func (s *Service) pullPeerSegments(ctx context.Context, traceID string) []teleme
 
 // pullSegments fetches one peer's segments of one trace.
 func pullSegments(ctx context.Context, node, traceID string) ([]telemetry.JobTrace, error) {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/traces/"+traceID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := probeClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var doc traceSegmentsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	var doc api.TraceSegments
+	if err := getJSON(ctx, node+"/v1/traces/"+traceID, &doc); err != nil {
 		return nil, err
 	}
 	return doc.Segments, nil

@@ -1,173 +1,17 @@
 package service
 
-// Golden v1 response documents: every job, healthz, cluster, metrics and
-// trace body the daemon serves is pinned byte for byte under api/testdata,
-// in writeJSON's exact encoding. Regenerate deliberately with
-// `go test ./internal/service/ -run TestAPICompatResponses -update`.
-
 import (
-	"bytes"
 	"context"
-	"flag"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/telemetry"
+	"repro/api"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden response fixtures")
-
-var goldenStart = time.Date(2026, 3, 14, 15, 9, 26, 535897932, time.UTC)
-
-// goldenSegments is the one-node segment list of trace_segments.json.
-func goldenSegments() []telemetry.JobTrace {
-	return []telemetry.JobTrace{{
-		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
-		JobID:   "job-9f3a21c0-3",
-		Node:    "beta",
-		Spans: []telemetry.SpanRecord{
-			{SpanID: "a1b2c3d4e5f60718", Parent: "00f067aa0ba902b7", Name: "ingress", Node: "beta",
-				Start: goldenStart, DurNS: 41250000, Attrs: map[string]any{"circuit": "s344", "outcome": "relayed"}},
-			{SpanID: "0718a1b2c3d4e5f6", Parent: "a1b2c3d4e5f60718", Name: "forward", Node: "beta",
-				Start: goldenStart.Add(120 * time.Microsecond), DurNS: 40800000,
-				Attrs: map[string]any{"peer": "http://10.0.0.1:8344", "status": 200, "job_id": "job-9f3a21c0-3"}},
-		},
-	}}
-}
-
-func goldenResponses() []struct {
-	file string
-	val  any
-} {
-	store := &storeStatus{Dir: "/var/lib/scanpowerd", Entries: 12, Bytes: 48213,
-		Hits: 7, Misses: 12, Puts: 12, Evictions: 1, Corrupt: 0}
-	fused := &telemetry.RegistrySnapshot{
-		Counters: map[string]int64{
-			MetricJobsSubmitted:                    5,
-			MetricJobsByState + `{state="done"}`:   4,
-			MetricJobsByState + `{state="failed"}`: 1,
-			MetricStoreHits:                        3,
-			MetricStoreMisses:                      2,
-		},
-		Gauges: map[string]float64{MetricQueueDepth: 1, MetricInflight: 2},
-		Histograms: map[string]telemetry.HistogramSnapshot{
-			MetricRequestSeconds + `{endpoint="submit"}`: {
-				Bounds: []float64{0.01, 0.1, 1},
-				Counts: []int64{1, 3, 1, 0},
-				Sum:    0.4375,
-				Count:  5,
-			},
-		},
-	}
-	summary := metricsSummary{
-		QueueDepth: 1, Inflight: 2,
-		Jobs:      map[string]int64{"done": 4, "failed": 1},
-		StoreHits: 3, StoreMisses: 2, StoreHitRate: 0.6,
-		Latency: map[string]latencySummary{"submit": {Count: 5, P50: 0.055, P95: 0.9, P99: 0.98}},
-	}
-	nodeSummary := metricsSummary{
-		QueueDepth: 1, Inflight: 1,
-		Jobs:      map[string]int64{"done": 2},
-		StoreHits: 1, StoreMisses: 1, StoreHitRate: 0.5,
-	}
-	segs := goldenSegments()
-	return []struct {
-		file string
-		val  any
-	}{
-		{"job_done.json", jobResponse{
-			ID: "job-9f3a21c0-3", Node: "http://10.0.0.1:8344",
-			TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Circuit: "s344", Measure: "packed",
-			State: "done", TimeoutMS: 60000,
-			Created:   "2026-03-14T15:09:26.535897932Z",
-			Started:   "2026-03-14T15:09:26.5361Z",
-			Finished:  "2026-03-14T15:09:26.61Z",
-			ResultURL: "/v1/jobs/job-9f3a21c0-3/result",
-		}},
-		{"job_failed.json", jobResponse{
-			ID: "job-4", TraceID: "0af7651916cd43dd8448eb211c80319c", Circuit: "inline",
-			Measure: "packed", State: "failed", TimeoutMS: 250,
-			Error:    "context deadline exceeded",
-			Created:  "2026-03-14T15:09:26Z",
-			Started:  "2026-03-14T15:09:26.001Z",
-			Finished: "2026-03-14T15:09:26.251Z",
-		}},
-		{"job_coalesced.json", jobResponse{
-			ID: "job-9f3a21c0-3", Node: "http://10.0.0.1:8344",
-			TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Circuit: "s344", Measure: "packed",
-			State: "running", Coalesced: true,
-			Created: "2026-03-14T15:09:26.535897932Z",
-			Started: "2026-03-14T15:09:26.5361Z",
-		}},
-		{"healthz_ok.json", healthzResponse{
-			Status: "ok", Node: "alpha", UptimeSec: 3600.25, Version: "v1.4.0",
-			GoVersion: "go1.22.5", Revision: "0f1e2d3",
-			QueueDepth: 1, QueueCapacity: 64, Inflight: 2, Workers: 2, Jobs: 19,
-			CacheHits: 5, CacheMisses: 14, Store: store,
-		}},
-		{"healthz_draining.json", healthzResponse{
-			Status: "draining", UptimeSec: 12.5, QueueCapacity: 64, Workers: 1, Jobs: 3,
-		}},
-		{"cluster.json", clusterResponse{
-			Schema: ClusterSchemaV1, Self: "http://10.0.0.1:8344",
-			Nodes: []clusterNode{
-				{Node: "http://10.0.0.1:8344", Self: true, Healthy: true, QueueDepth: 1, Inflight: 1, Jobs: 7},
-				{Node: "http://10.0.0.2:8344", Healthy: true, Draining: true, Jobs: 2},
-				{Node: "http://10.0.0.3:8344", Error: "dial tcp 10.0.0.3:8344: connect: connection refused"},
-			},
-			Store: store,
-		}},
-		{"cluster_metrics.json", clusterMetricsResponse{
-			Schema: ClusterMetricsSchemaV1, Self: "http://10.0.0.1:8344",
-			Summary: summary,
-			Nodes: []nodeMetricsRow{
-				{Node: "alpha", Self: true, Summary: &nodeSummary},
-				{Node: "http://10.0.0.3:8344", Error: "context deadline exceeded"},
-			},
-			Fused: fused,
-		}},
-		{"job_trace.json", traceResponse{
-			Schema: TraceSchemaV1, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", JobID: "job-9f3a21c0-3",
-			Nodes: []string{"alpha", "beta"},
-			Spans: append(append([]telemetry.SpanRecord(nil), segs[0].Spans...),
-				telemetry.SpanRecord{SpanID: "5e6f708192a3b4c5", Parent: "0718a1b2c3d4e5f6", Name: "job",
-					Node: "alpha", Start: goldenStart.Add(2 * time.Millisecond), DurNS: 38000000,
-					Attrs: map[string]any{"circuit": "s344", "state": "done"}}),
-		}},
-		{"trace_segments.json", traceSegmentsResponse{
-			TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Node: "beta", Segments: segs,
-		}},
-	}
-}
-
-// TestAPICompatResponses pins each response document to its golden bytes.
-func TestAPICompatResponses(t *testing.T) {
-	for _, c := range goldenResponses() {
-		t.Run(c.file, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			writeJSON(rec, http.StatusOK, c.val)
-			got := rec.Body.Bytes()
-			path := filepath.Join("..", "..", "api", "testdata", c.file)
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read fixture (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("wire bytes drifted from %s:\n got: %s\nwant: %s", c.file, got, want)
-			}
-		})
-	}
-}
 
 // TestAPICompatPeerSegments replays trace_segments.json as a peer and
 // requires the segment pull to decode it to the golden value.
@@ -188,10 +32,11 @@ func TestAPICompatPeerSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := goldenSegments()
-	// Decoded attrs are JSON numbers.
-	want[0].Spans[1].Attrs["status"] = float64(200)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("pulled segments = %+v\nwant %+v", got, want)
+	var want api.TraceSegments
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Spans) != 2 || !reflect.DeepEqual(got, want.Segments) {
+		t.Errorf("pulled segments = %+v\nwant %+v", got, want.Segments)
 	}
 }

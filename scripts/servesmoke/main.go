@@ -359,10 +359,7 @@ func checkLegacyFlatSubmit(base string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("legacy flat submit: %d %s", resp.StatusCode, body)
 	}
-	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
+	var job api.JobDoc
 	if err := json.Unmarshal(body, &job); err != nil || job.State != "done" {
 		return fmt.Errorf("legacy flat submit settled %q (%v): %s", job.State, err, body)
 	}
