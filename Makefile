@@ -34,7 +34,7 @@ manifest-smoke:
 
 # The telemetry path under the race detector: concurrent Engine workers
 # and same-named concurrent Compares feeding one Recorder, registry, and
-# trace writer through the probe scopes. The Packed kernel,
+# trace writer through the probe scopes. The packed measurement kernel,
 # packed Monte-Carlo, hook-pairing and scanpowerd service tests ride along
 # so the bit-parallel paths and the job queue are raced too.
 telemetry-race:

@@ -7,9 +7,9 @@ import (
 // AccumLeakPackedW adds every gate's leakage to the per-lane
 // accumulators for a bit-parallel per-net state: words holds ww uint64
 // words per net (net n's group at words[int(n)*ww:...], lane t at bit
-// t&63 of word t>>6 — the layout of sim.Packed at ww=1 and sim.Wide at
-// ww=4), and cyc[t] receives the sum of tabs[gi][input bits in lane t]
-// over all gates, for t < n.
+// t&63 of word t>>6 — the layout of sim.Program.Run at ww=1 and sim.Wide
+// at ww=4), and cyc[t] receives the sum of tabs[gi][input bits in lane
+// t] over all gates, for t < n.
 //
 // The accumulation order is load-bearing: each cyc[t] is built in
 // ascending gate-index order — exactly the order CircuitLeakBoolTabs sums

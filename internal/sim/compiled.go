@@ -16,6 +16,11 @@ const WideWords = 4
 // uint64 words per net carry 256 independent evaluations.
 const WideLanes = WideWords * 64
 
+// PackedLanes is the lane width of Program.Run at one word per net: one
+// uint64 per net carries 64 independent evaluations (the 64-lane fault
+// simulator's width).
+const PackedLanes = 64
+
 // opcode is the compiled form of a logic.GateType. The variable-arity
 // inverting pairs share the accumulation loop of their positive form and
 // differ only in a final complement.
@@ -49,7 +54,7 @@ var opcodeOf = [...]opcode{
 // levelized, flat structure-of-arrays form: one contiguous instruction
 // stream sorted by (topological level, GateID), with every gate's fanin
 // run flattened into a single shared index slice. All packed evaluators
-// — Packed at 64 lanes, Wide and Wide3 at 256 — execute this one program
+// — Program.Run at 64 lanes, Wide and Wide3 at 256 — execute this one program
 // through width-specialized copies of one evaluator loop, so a cache line
 // of the instruction stream serves whatever lane width the caller
 // picked. (The cores are specialized by hand rather than by Go

@@ -98,13 +98,61 @@ func TestCompileLevelizedOrder(t *testing.T) {
 	}
 }
 
+// buildAllGates covers every gate type and arity the library emits.
+func buildAllGates(t testing.TB) *netlist.Circuit {
+	t.Helper()
+	c := netlist.New("allgates")
+	c.AddPI("a")
+	c.AddPI("b")
+	c.AddPI("s")
+	c.AddFF("f0", "q0", "d0")
+	c.AddGate(logic.Buf, "n_buf", "a")
+	c.AddGate(logic.Not, "n_not", "b")
+	c.AddGate(logic.And, "n_and", "a", "b", "q0")
+	c.AddGate(logic.Nand, "n_nand", "a", "n_buf", "n_not")
+	c.AddGate(logic.Or, "n_or", "n_and", "b")
+	c.AddGate(logic.Nor, "n_nor", "n_or", "q0")
+	c.AddGate(logic.Xor, "n_xor", "a", "b", "s")
+	c.AddGate(logic.Xnor, "n_xnor", "n_xor", "n_nand")
+	c.AddGate(logic.Mux2, "d0", "n_nor", "n_xnor", "s")
+	c.MarkPO("d0")
+	c.MustFreeze()
+	return c
+}
+
+// runWord1 evaluates one 64-lane word k of the wide inputs through
+// Program.Run at one word per net and returns the per-net words.
+func runWord1(p *Program, piW, ppiW []uint64, k int) []uint64 {
+	c := p.Circuit()
+	v := make([]uint64, c.NumNets())
+	for i, n := range c.PIs {
+		v[n] = piW[i*WideWords+k]
+	}
+	for i, ff := range c.FFs {
+		v[ff.Q] = ppiW[i*WideWords+k]
+	}
+	p.Run(v, 1)
+	return v
+}
+
 // TestWideMatchesScalar: each of the 256 lanes of a wide evaluation must
 // equal the scalar simulator's result for that lane's inputs, on every
-// net — the same contract TestPackedMatchesScalar pins at 64 lanes.
+// net, and each 64-lane word must equal Program.Run at one word per net
+// — on every gate type and arity, an ISCAS netlist, and random circuits.
 func TestWideMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	circuits := []*netlist.Circuit{buildAllGates(t)}
+	if p, ok := iscas.ByName("s344"); ok {
+		c, err := iscas.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
 	for iter := 0; iter < 20; iter++ {
-		c := randomCircuit3(rng)
+		circuits = append(circuits, randomCircuit3(rng))
+	}
+	for _, c := range circuits {
 		ws := NewWide(c)
 		ss := New(c)
 		piW := make([]uint64, len(c.PIs)*WideWords)
@@ -116,6 +164,15 @@ func TestWideMatchesScalar(t *testing.T) {
 			ppiW[i] = rng.Uint64()
 		}
 		words := ws.Eval(piW, ppiW)
+		for k := 0; k < WideWords; k++ {
+			one := runWord1(ws.Program(), piW, ppiW, k)
+			for n := range one {
+				if one[n] != words[n*WideWords+k] {
+					t.Fatalf("%s: net %s word %d: Run(ww=1) %x, wide %x",
+						c.Name, c.Nets[n].Name, k, one[n], words[n*WideWords+k])
+				}
+			}
+		}
 		pi := make([]bool, len(c.PIs))
 		ppi := make([]bool, c.NumFFs())
 		for lane := 0; lane < WideLanes; lane++ {
@@ -166,7 +223,6 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	unfrozen := netlist.New("never-frozen")
 	unfrozen.AddPI("a")
 	unfrozen.AddGate(logic.Not, "o", "a")
-	mustPanic("NewPacked unfrozen", []string{`"never-frozen"`}, func() { NewPacked(unfrozen) })
 	mustPanic("NewWide unfrozen", []string{`"never-frozen"`}, func() { NewWide(unfrozen) })
 	mustPanic("NewWide3 unfrozen", []string{`"never-frozen"`}, func() { NewWide3(unfrozen) })
 	mustPanic("Compile unfrozen", []string{`"never-frozen"`}, func() { Compile(unfrozen) })
@@ -179,14 +235,11 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 	c.MarkPO("d")
 	c.MustFreeze()
 
-	mustPanic("Packed.Eval pi", []string{`"tiny2"`, "got 1", "want 2"}, func() {
-		NewPacked(c).Eval(make([]uint64, 1), make([]uint64, 1))
-	})
-	mustPanic("Packed.Eval ppi", []string{`"tiny2"`, "got 3", "want 1"}, func() {
-		NewPacked(c).Eval(make([]uint64, 2), make([]uint64, 3))
-	})
-	mustPanic("Wide.Eval", []string{`"tiny2"`, "got 2", "want 2 PIs x 4 = 8"}, func() {
+	mustPanic("Wide.Eval pi", []string{`"tiny2"`, "got 2", "want 2 PIs x 4 = 8"}, func() {
 		NewWide(c).Eval(make([]uint64, 2), make([]uint64, WideWords))
+	})
+	mustPanic("Wide.Eval ppi", []string{`"tiny2"`, "got 12", "want 1 FFs x 4 = 4"}, func() {
+		NewWide(c).Eval(make([]uint64, 2*WideWords), make([]uint64, 3*WideWords))
 	})
 	mustPanic("Wide3.EvalNets", []string{`"tiny2"`, "want 4 nets x 4 = 16"}, func() {
 		NewWide3(c).EvalNets(make([]uint64, 1), make([]uint64, 1))
@@ -200,7 +253,7 @@ func TestPanicsNameCircuitAndLengths(t *testing.T) {
 }
 
 // FuzzWideEquivalence cross-checks the evaluators — scalar, 64-lane
-// packed, 256-lane wide and wide3 — on fuzzer-shaped random circuits,
+// Program.Run, 256-lane wide and wide3 — on fuzzer-shaped random circuits,
 // both two-valued and three-valued, lane by lane on every net. Wired into
 // `make fuzz-equiv`.
 func FuzzWideEquivalence(f *testing.F) {
@@ -214,7 +267,8 @@ func FuzzWideEquivalence(f *testing.F) {
 		ss := New(c)
 		nNets := c.NumNets()
 
-		// Two-valued: wide vs packed word-identity, then packed vs scalar.
+		// Two-valued: wide vs Run(ww=1) word-identity, then Run(ww=1)
+		// vs scalar on the last word.
 		piW := make([]uint64, len(c.PIs)*WideWords)
 		ppiW := make([]uint64, c.NumFFs()*WideWords)
 		for i := range piW {
@@ -224,37 +278,29 @@ func FuzzWideEquivalence(f *testing.F) {
 			ppiW[i] = rng.Uint64()
 		}
 		wide := NewWideProgram(prog).Eval(piW, ppiW)
-		packed := NewPackedProgram(prog)
-		pi1 := make([]uint64, len(c.PIs))
-		ppi1 := make([]uint64, c.NumFFs())
+		var one []uint64
 		for k := 0; k < WideWords; k++ {
-			for i := range pi1 {
-				pi1[i] = piW[i*WideWords+k]
-			}
-			for i := range ppi1 {
-				ppi1[i] = ppiW[i*WideWords+k]
-			}
-			words := packed.Eval(pi1, ppi1)
+			one = runWord1(prog, piW, ppiW, k)
 			for n := 0; n < nNets; n++ {
-				if words[n] != wide[n*WideWords+k] {
-					t.Fatalf("net %s word %d: packed %x vs wide %x",
-						c.Nets[n].Name, k, words[n], wide[n*WideWords+k])
+				if one[n] != wide[n*WideWords+k] {
+					t.Fatalf("net %s word %d: Run(ww=1) %x vs wide %x",
+						c.Nets[n].Name, k, one[n], wide[n*WideWords+k])
 				}
 			}
 		}
 		pib := make([]bool, len(c.PIs))
 		ppib := make([]bool, c.NumFFs())
 		for lane := 0; lane < PackedLanes; lane++ {
-			for i := range pib {
-				pib[i] = pi1[i]>>uint(lane)&1 == 1
+			for i, n := range c.PIs {
+				pib[i] = one[n]>>uint(lane)&1 == 1
 			}
-			for i := range ppib {
-				ppib[i] = ppi1[i]>>uint(lane)&1 == 1
+			for i, ff := range c.FFs {
+				ppib[i] = one[ff.Q]>>uint(lane)&1 == 1
 			}
 			st := ss.Eval(pib, ppib)
 			for n, v := range st {
-				if got := packed.v[n]>>uint(lane)&1 == 1; got != v {
-					t.Fatalf("net %s lane %d: packed %v vs scalar %v", c.Nets[n].Name, lane, got, v)
+				if got := one[n]>>uint(lane)&1 == 1; got != v {
+					t.Fatalf("net %s lane %d: Run(ww=1) %v vs scalar %v", c.Nets[n].Name, lane, got, v)
 				}
 			}
 		}

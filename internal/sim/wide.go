@@ -9,9 +9,8 @@ import (
 
 // Wide evaluates the combinational core of a frozen circuit 256 lanes at
 // a time: every net carries WideWords (4) uint64 words, and lane t lives
-// at bit t&63 of word t>>6 of the net's group. It executes the same
-// compiled program as Packed through the same generic kernel — only the
-// lane-group width differs — so bit t of every output group equals
+// at bit t&63 of word t>>6 of the net's group. It executes the compiled
+// program's four-word core, so bit t of every output group equals
 // exactly what Simulator.Eval computes for that lane's scalar inputs.
 // Not safe for concurrent use; create one per goroutine (the Program may
 // be shared via NewWideProgram).
