@@ -393,6 +393,7 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 			Inflight:   st.Inflight,
 			Jobs:       st.Jobs,
 		}},
+		Store: s.storeStatus(st),
 	}
 	if s.cluster != nil {
 		var peers []string
@@ -413,6 +414,5 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 		wg.Wait()
 		resp.Nodes = append(resp.Nodes, rows...)
 	}
-	resp.Store = s.storeStatus(st)
 	writeJSON(w, http.StatusOK, resp)
 }
