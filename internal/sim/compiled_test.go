@@ -135,6 +135,72 @@ func runWord1(p *Program, piW, ppiW []uint64, k int) []uint64 {
 	return v
 }
 
+// TestPackedMatchesScalar: each of the PackedLanes lanes of a one-word
+// evaluation — Program.Run at one word per net, the core the 64-lane
+// FaultSimW runs — must equal the scalar simulator's result for that
+// lane's inputs, on every net.
+func TestPackedMatchesScalar(t *testing.T) {
+	circuits := []*netlist.Circuit{buildAllGates(t)}
+	if p, ok := iscas.ByName("s344"); ok {
+		c, err := iscas.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range circuits {
+		prog := Compile(c)
+		ss := New(c)
+		piW := make([]uint64, len(c.PIs))
+		ppiW := make([]uint64, c.NumFFs())
+		for i := range piW {
+			piW[i] = rng.Uint64()
+		}
+		for i := range ppiW {
+			ppiW[i] = rng.Uint64()
+		}
+		words := make([]uint64, c.NumNets())
+		for i, n := range c.PIs {
+			words[n] = piW[i]
+		}
+		for i, ff := range c.FFs {
+			words[ff.Q] = ppiW[i]
+		}
+		prog.Run(words, 1)
+		pi := make([]bool, len(c.PIs))
+		ppi := make([]bool, c.NumFFs())
+		for lane := 0; lane < PackedLanes; lane++ {
+			for i := range pi {
+				pi[i] = piW[i]>>uint(lane)&1 == 1
+			}
+			for i := range ppi {
+				ppi[i] = ppiW[i]>>uint(lane)&1 == 1
+			}
+			st := ss.Eval(pi, ppi)
+			for ni, v := range st {
+				if got := words[ni]>>uint(lane)&1 == 1; got != v {
+					t.Fatalf("%s: lane %d net %s: Run(ww=1) %v, scalar %v",
+						c.Name, lane, c.Nets[ni].Name, got, v)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedInputLengthPanics pins the misuse contract shared with the
+// scalar simulator: a one-word state shorter than the net count panics.
+func TestPackedInputLengthPanics(t *testing.T) {
+	c := buildAllGates(t)
+	prog := Compile(c)
+	defer func() {
+		if recover() == nil {
+			t.Error("short state slice accepted")
+		}
+	}()
+	prog.Run(make([]uint64, c.NumNets()-1), 1)
+}
+
 // TestWideMatchesScalar: each of the 256 lanes of a wide evaluation must
 // equal the scalar simulator's result for that lane's inputs, on every
 // net, and each 64-lane word must equal Program.Run at one word per net
