@@ -3,10 +3,17 @@
 # worker pool or pattern cache.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet test race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
+.PHONY: check fmt build vet test race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
 
-check: vet build test race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
+check: fmt vet build test race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
+
+# Formatting gate: fails, naming the files, when gofmt would rewrite any
+# Go file of the repository (benchmark/run.sh's build directory aside).
+fmt:
+	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -23,6 +30,11 @@ race:
 # The fault-parallel ATPG scheduler under the race detector: worker
 # bit-identity at several worker counts, the MaxPodemFaults cap with
 # in-flight speculation, and the engine's worker-normalized pattern cache.
+# The Podem tests ride along: each scheduler worker owns a PODEM engine
+# whose undo trail (backtracks rewind it instead of re-implying), region
+# marks (only gates of the fault's TFI(TFO(f)) are evaluated) and event
+# queue are reused across faults, and the step-level differential
+# against the full engine runs here under the race detector too.
 atpg-race:
 	$(GO) test -race -run 'Workers|Podem|Scheduler|DetectAllMask|RandomPhase' ./internal/atpg/ .
 
@@ -36,9 +48,10 @@ manifest-smoke:
 # and same-named concurrent Compares feeding one Recorder, registry, and
 # trace writer through the probe scopes. The packed measurement kernel,
 # packed Monte-Carlo, hook-pairing and scanpowerd service tests ride along
-# so the bit-parallel paths and the job queue are raced too.
+# so the bit-parallel paths and the job queue are raced too, and so is
+# the panic boundary around a job's run (TestRunnerPanicFailsJob).
 telemetry-race:
-	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
+	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch|RunnerPanicFailsJob' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
 
 # The 256-lane compiled kernels under the race detector: the Compile
 # lowering property test, the wide-vs-scalar equivalence suites, and
@@ -92,8 +105,11 @@ obs-smoke:
 # set/flip/undo sequences through the blocking search's event-driven and
 # full implication (same implied value on every net), random
 # batches through the packed and serial fault simulators, random circuits
-# through the incremental and full PODEM engines (same status, backtracks
-# and assignment for every fault), and random
+# through the incremental and full PODEM engines in lockstep (after every
+# imply, including each one right after an undo-trail rewind and flip,
+# the same value on every net of the fault's region TFI(TFO(f)) and the
+# same difference set; then the same decisions, status, backtracks and
+# assignment for every fault, at 16 and at 64 backtracks), and random
 # circuit profiles through the linear-time and original quadratic circuit
 # generators (same error, or same .bench text and fingerprint). The seed
 # corpora also run on every plain `go test`.

@@ -121,21 +121,30 @@ func FuzzFaultSimEquivalence(f *testing.F) {
 }
 
 // FuzzPodemEquivalence drives random circuits of all nine gate types
-// through both PODEM engines: for every fault, with SCOAP guidance on or
-// off as the input chooses, the incremental dual-rail engine must reach
-// the full logic.Eval engine's status and backtrack count, and on
-// success its assignment. `make fuzz-equiv` runs this continuously; the
-// seed corpus runs on every `go test`.
+// through both PODEM engines step by step (requirePodemModesAgree): for
+// every fault, with SCOAP guidance on or off and a backtrack limit of 16
+// or, deep, 64 as the input chooses, the incremental dual-rail engine
+// must hold the full logic.Eval engine's value on every net of the
+// fault's region after every imply, take the same decisions, and reach
+// its status, backtrack count and, on success, its assignment. `make
+// fuzz-equiv` runs this continuously; the seed corpus runs on every `go
+// test`.
 func FuzzPodemEquivalence(f *testing.F) {
 	// Each seed detects a primary-input fault, propagates a difference
 	// through a MUX2 by its select, and leaves an XOR/XNOR with an X input
-	// beside a binary one; seed 47 also aborts searches.
-	f.Add(int64(0), false)
-	f.Add(int64(3), true)
-	f.Add(int64(47), false)
-	f.Add(int64(47), true)
-	f.Fuzz(func(t *testing.T, seed int64, useSCOAP bool) {
+	// beside a binary one; seed 47 also aborts searches, and seed 84 at
+	// 64 backtracks rewinds the trail from seven decisions deep.
+	f.Add(int64(0), false, false)
+	f.Add(int64(3), true, false)
+	f.Add(int64(47), false, false)
+	f.Add(int64(47), true, false)
+	f.Add(int64(84), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, useSCOAP, deep bool) {
 		c := atpgFuzzCircuit(rand.New(rand.NewSource(seed)))
-		requirePodemModesAgree(t, fmt.Sprintf("seed=%d", seed), c, useSCOAP, 16)
+		maxBacktracks := 16
+		if deep {
+			maxBacktracks = 64
+		}
+		requirePodemModesAgree(t, fmt.Sprintf("seed=%d", seed), c, useSCOAP, maxBacktracks)
 	})
 }

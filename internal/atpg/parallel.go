@@ -404,9 +404,9 @@ func (fs *FaultSimW) DetectAllMask(faults []Fault, detCount []int, detected []bo
 // SetPatterns call); telemetry uses it to count packed work.
 func (fs *FaultSimW) Lanes() int { return fs.n }
 
-// Fused (type, arity) opcodes for the event loop: the dominant one- and
-// two-input gates dispatch straight to a branch-free body instead of
-// paying a fanin loop per event.
+// Fused (type, arity) opcodes for the event loops of FaultSimW and the
+// PODEM engine: the dominant one- and two-input gates dispatch straight
+// to a branch-free body instead of paying a fanin loop per event.
 const (
 	fopBuf uint8 = iota
 	fopNot
@@ -426,7 +426,7 @@ const (
 )
 
 // fuseOp lowers a gate type and fanin count to its event-loop opcode,
-// panicking — naming the offender — on a type the simulator cannot run.
+// panicking — naming the offender — on a type no event loop can run.
 func fuseOp(t logic.GateType, nIn int) uint8 {
 	two := nIn == 2
 	switch t {
@@ -467,5 +467,5 @@ func fuseOp(t logic.GateType, nIn int) uint8 {
 	case logic.Mux2:
 		return fopMux2
 	}
-	panic("atpg: FaultSimW on unsupported gate type " + t.String())
+	panic("atpg: unsupported gate type " + t.String())
 }

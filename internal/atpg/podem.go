@@ -103,7 +103,8 @@ func reducePair(ins []netlist.NetID, val []uint8) (anyBit, allBits uint8) {
 }
 
 // podemEnv is the per-circuit state shared by every podem engine: the
-// decision-input enumeration, a flat copy of the gate graph, topological
+// decision-input enumeration, a flat copy of the gate graph (with each
+// gate's fused opcode), topological
 // gate ranks (for canonical D-frontier selection), the observed-net set,
 // and the optional SCOAP guidance. It is built once per generation
 // instead of once per fault, and is read-only after construction, so one
@@ -114,10 +115,11 @@ type podemEnv struct {
 	// inIdx is each net's position in inputs, or -1 for a net that is not
 	// a combinational input.
 	inIdx []int32
-	// The gate graph as flat arrays: per-gate type, output net and level;
-	// gate g reads fanin[faninOff[g]:faninOff[g+1]], and net n feeds
-	// fanout[fanoutOff[n]:fanoutOff[n+1]].
+	// The gate graph as flat arrays: per-gate type, fuseOp opcode, output
+	// net and level; gate g reads fanin[faninOff[g]:faninOff[g+1]], and
+	// net n feeds fanout[fanoutOff[n]:fanoutOff[n+1]].
 	gType     []logic.GateType
+	gOp       []uint8
 	gOut      []netlist.NetID
 	gLevel    []int32
 	faninOff  []int32
@@ -130,6 +132,13 @@ type podemEnv struct {
 	// observed marks nets where a good/faulty difference is a detection:
 	// primary outputs and flop D inputs.
 	observed []bool
+	// reach[n*reachW:(n+1)*reachW] is net n's mask of the sink groups it
+	// has a path to. A sink is a net that feeds no gate; the sinks, in net
+	// order, are cut into at most 64·maxReachWords contiguous groups.
+	// Fault site f's region is every gate whose output reaches a group f
+	// reaches (markRegion).
+	reach  []uint64
+	reachW int
 	// scoap, when non-nil, steers backtrace toward the cheapest
 	// controllability choices.
 	scoap         *testability.Analysis
@@ -143,6 +152,7 @@ func newPodemEnv(c *netlist.Circuit, scoap *testability.Analysis, maxBacktracks 
 		inputs:        c.CombInputs(),
 		inIdx:         make([]int32, nNets),
 		gType:         make([]logic.GateType, nGates),
+		gOp:           make([]uint8, nGates),
 		gOut:          make([]netlist.NetID, nGates),
 		gLevel:        make([]int32, nGates),
 		faninOff:      make([]int32, nGates+1),
@@ -161,6 +171,7 @@ func newPodemEnv(c *netlist.Circuit, scoap *testability.Analysis, maxBacktracks 
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
 		env.gType[gi] = g.Type
+		env.gOp[gi] = fuseOp(g.Type, len(g.Inputs))
 		env.gOut[gi] = g.Output
 		env.gLevel[gi] = int32(c.Level(netlist.GateID(gi)))
 		env.fanin = append(env.fanin, g.Inputs...)
@@ -175,7 +186,54 @@ func newPodemEnv(c *netlist.Circuit, scoap *testability.Analysis, maxBacktracks 
 	for i, gi := range c.Topo() {
 		env.topoIdx[gi] = int32(i)
 	}
+	env.buildReach()
 	return env
+}
+
+// maxReachWords caps the words per net of podemEnv.reach, so a circuit
+// with many sinks costs at most 32 bytes a net; past 256 sinks a group
+// holds several.
+const maxReachWords = 4
+
+// buildReach fills env.reach: each sink sets its own group's bit, then
+// one pass in reverse topological order, and one over the inputs, ORs
+// into every net the masks of the gate outputs it feeds.
+func (env *podemEnv) buildReach() {
+	nNets := len(env.fanoutOff) - 1
+	nSinks := 0
+	for n := 0; n < nNets; n++ {
+		if env.fanoutOff[n] == env.fanoutOff[n+1] {
+			nSinks++
+		}
+	}
+	groups := min(nSinks, 64*maxReachWords)
+	w := max(1, (groups+63)/64)
+	env.reachW = w
+	env.reach = make([]uint64, nNets*w)
+	k := 0
+	for n := 0; n < nNets; n++ {
+		if env.fanoutOff[n] == env.fanoutOff[n+1] {
+			grp := k * groups / nSinks
+			env.reach[n*w+grp/64] |= 1 << (grp % 64)
+			k++
+		}
+	}
+	or := func(n netlist.NetID) {
+		r := env.reach[int(n)*w : int(n)*w+w]
+		for _, g := range env.fanoutOf(n) {
+			o := int(env.gOut[g])
+			for i, m := range env.reach[o*w : o*w+w] {
+				r[i] |= m
+			}
+		}
+	}
+	topo := env.c.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		or(env.gOut[topo[i]])
+	}
+	for _, n := range env.inputs {
+		or(n)
+	}
 }
 
 func (env *podemEnv) faninOf(g netlist.GateID) []netlist.NetID {
@@ -193,10 +251,14 @@ func (env *podemEnv) fanoutOf(n netlist.NetID) []netlist.GateID {
 // makes PODEM's backtracking complete.
 //
 // The default engine implies incrementally over the env's flat arrays:
-// each decision (or flip, or undo) propagates event-driven through level
-// buckets from the changed input only, one evalPair per gate for both
-// circuits, and the D-frontier is tracked as a difference set instead of
-// rescanned — the same technique FaultSim uses. The full mode re-implies
+// each decision or flip propagates event-driven through level buckets
+// from the changed input only, one fused dual-rail evaluation per gate
+// for both circuits, and the D-frontier is tracked as a difference set
+// instead of rescanned — the same technique FaultSim uses. Every value
+// change is logged on an undo trail, so a backtrack rewinds to the
+// flipped decision's mark instead of re-implying the popped decisions to
+// X. Propagation stays inside the fault's relevant region R =
+// TFI(TFO(f)), the only nets the search reads. The full mode re-implies
 // the whole circuit with logic.Eval on separate good and faulty arrays
 // on every step; it is the oracle the incremental engine is
 // differentially tested against, and both modes visit identical search
@@ -214,6 +276,9 @@ type podem struct {
 	val    []uint8
 	assign []logic.Value // per input, current decision values
 	stack  []podemDecision
+	// trail logs every val change of the incremental engine, oldest first;
+	// a decision's mark is the trail length just before its input was set.
+	trail []trailEntry
 
 	// Full-mode state: the good and faulty circuits as logic.Eval sees
 	// them.
@@ -235,6 +300,8 @@ type podem struct {
 	// obsDiff counts observed nets currently carrying a difference, so
 	// detection is a counter check instead of a PO/FF scan.
 	obsDiff int
+	// inRegion marks the gates of the current fault's region R.
+	inRegion []bool
 
 	// backtracks is the number of decision flips the last run performed.
 	backtracks int
@@ -244,6 +311,13 @@ type podemDecision struct {
 	input   int
 	value   logic.Value
 	flipped bool
+	mark    int // trail length before the input was first set
+}
+
+// trailEntry is one logged change: net held old before it.
+type trailEntry struct {
+	net netlist.NetID
+	old uint8
 }
 
 // newPodem builds an engine bound to env; one engine is reused across
@@ -270,13 +344,19 @@ func (env *podemEnv) newPodem(full bool) *podem {
 	p.queued = make([]bool, c.NumGates())
 	p.diffMark = make([]bool, c.NumNets())
 	p.inList = make([]bool, c.NumNets())
+	// Decisions only refine values from X, so while they stand each rail
+	// of a net changes at most once: the trail never outgrows two entries
+	// per net.
+	p.trail = make([]trailEntry, 0, 2*c.NumNets())
+	p.inRegion = make([]bool, c.NumGates())
 	return p
 }
 
 // reset rebinds the engine to fault f and restores the all-X state. With
 // every input X the good circuit is all X and the faulty one differs only
-// below the fault site, so the incremental engine queues the site's
-// fanout and the run's first imply propagates the stuck value from there.
+// below the fault site, so the incremental engine marks the site's
+// region, queues the site's fanout, and the run's first imply propagates
+// the stuck value from there.
 func (p *podem) reset(f Fault) {
 	p.fault = f
 	p.backtracks = 0
@@ -287,7 +367,7 @@ func (p *podem) reset(f Fault) {
 	if p.full {
 		return
 	}
-	// A run that ended on a flip or an undo leaves events queued.
+	// An aborted run ends right after a flip, with its events queued.
 	for w, word := range p.dirty {
 		for ; word != 0; word &= word - 1 {
 			lvl := w*64 + bits.TrailingZeros64(word)
@@ -304,10 +384,34 @@ func (p *podem) reset(f Fault) {
 	}
 	p.diffList = p.diffList[:0]
 	p.obsDiff = 0
+	p.trail = p.trail[:0]
+	p.markRegion(f.Net)
 	clear(p.val)
 	p.stuck = pairOf(logic.X, logic.FromBool(f.Stuck))
 	p.val[f.Net] = p.stuck
 	p.scheduleFanout(f.Net)
+}
+
+// markRegion marks fault site f's region in one pass over the gates: a
+// gate is in it when its output reaches a sink group f reaches. With at
+// most 256 sinks every group is one sink, and the region is exactly R =
+// TFI(TFO(f)): every net of TFO(f) lies in the fanin cone of a sink f
+// reaches. With more, the region is a union of sink groups' fanin cones,
+// a superset of R. Detection, the D-frontier and its side inputs, the
+// objective and backtrace read only nets of R, and the region is closed
+// under fanin, so leaving the other gates unevaluated cannot change a
+// value the search reads.
+func (p *podem) markRegion(f netlist.NetID) {
+	env := p.env
+	w := env.reachW
+	fr := env.reach[int(f)*w : int(f)*w+w]
+	for g, out := range env.gOut {
+		var hit uint64
+		for i, m := range env.reach[int(out)*w : int(out)*w+w] {
+			hit |= m & fr[i]
+		}
+		p.inRegion[g] = hit != 0
+	}
 }
 
 // noteNet refreshes net n's membership in the difference set after its
@@ -331,10 +435,11 @@ func (p *podem) noteNet(n netlist.NetID) {
 	}
 }
 
+// scheduleFanout queues the gates of R that net n feeds.
 func (p *podem) scheduleFanout(n netlist.NetID) {
 	env := p.env
 	for _, g := range env.fanoutOf(n) {
-		if !p.queued[g] {
+		if !p.queued[g] && p.inRegion[g] {
 			p.queued[g] = true
 			lvl := env.gLevel[g]
 			p.buckets[lvl] = append(p.buckets[lvl], g)
@@ -343,9 +448,9 @@ func (p *podem) scheduleFanout(n netlist.NetID) {
 	}
 }
 
-// assignInput records a decision value (or its undo, v == X) and, in
-// incremental mode, applies it to both circuits and queues the fanout for
-// the next propagation. A faulty input keeps its stuck value.
+// assignInput records a decision value and, in incremental mode, applies
+// it to both circuits, logs the change and queues the fanout for the next
+// propagation. A faulty input keeps its stuck value.
 func (p *podem) assignInput(i int, v logic.Value) {
 	p.assign[i] = v
 	if p.full {
@@ -357,23 +462,39 @@ func (p *podem) assignInput(i int, v logic.Value) {
 		nv = uint8(v) | p.stuck
 	}
 	if p.val[n] != nv {
+		p.trail = append(p.trail, trailEntry{n, p.val[n]})
 		p.val[n] = nv
 		p.noteNet(n)
 		p.scheduleFanout(n)
 	}
 }
 
+// rewind restores val to its state when the trail was mark entries long,
+// newest change first, and refreshes the difference set on every
+// restored net. The event queue is empty here: a backtrack starts from an
+// implied state.
+func (p *podem) rewind(mark int) {
+	for i := len(p.trail) - 1; i >= mark; i-- {
+		e := p.trail[i]
+		p.val[e.net] = e.old
+		p.noteNet(e.net)
+	}
+	p.trail = p.trail[:mark]
+}
+
 // imply forward-simulates both the good and the faulty circuit from the
 // current input assignment: a whole-cone pass in full mode, an
 // event-driven drain of the queued gates otherwise, visiting only the
-// levels that hold any, lowest first. The fault net is forced to the
-// stuck value in the faulty circuit.
+// levels that hold any, lowest first. NOT and the two-input AND, NAND,
+// OR and NOR gates are evaluated inline, the rest through evalPair. The
+// fault net is forced to the stuck value in the faulty circuit.
 func (p *podem) imply() {
 	if p.full {
 		p.implyFull()
 		return
 	}
 	env := p.env
+	val := p.val
 	f := p.fault.Net
 	for w := 0; w < len(p.dirty); {
 		word := p.dirty[w]
@@ -389,12 +510,32 @@ func (p *podem) imply() {
 		for _, gi := range q {
 			p.queued[gi] = false
 			out := env.gOut[gi]
-			nv := evalPair(env.gType[gi], env.faninOf(gi), p.val)
+			off := env.faninOff[gi]
+			var nv uint8
+			switch env.gOp[gi] {
+			case fopNot:
+				nv = notPair(val[env.fanin[off]])
+			case fopAnd2:
+				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+				nv = (a|b)&railZero | a&b&railOne
+			case fopNand2:
+				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+				nv = notPair((a|b)&railZero | a&b&railOne)
+			case fopOr2:
+				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+				nv = (a|b)&railOne | a&b&railZero
+			case fopNor2:
+				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+				nv = notPair((a|b)&railOne | a&b&railZero)
+			default:
+				nv = evalPair(env.gType[gi], env.faninOf(gi), val)
+			}
 			if out == f {
 				nv = nv&railGood | p.stuck
 			}
-			if p.val[out] != nv {
-				p.val[out] = nv
+			if old := val[out]; old != nv {
+				p.trail = append(p.trail, trailEntry{out, old})
+				val[out] = nv
 				p.noteNet(out)
 				p.scheduleFanout(out)
 			}
@@ -632,42 +773,48 @@ func (p *podem) run(f Fault) podemStatus {
 	p.reset(f)
 	for {
 		p.imply()
-		if p.detected() {
-			return podemSuccess
-		}
-		obj, val, ok := p.objective()
-		if ok {
-			in, v := p.backtrace(obj, val)
-			if p.assign[in] != logic.X {
-				// Backtrace landed on an assigned input (possible on
-				// reconvergent paths): treat as conflict.
-				ok = false
-			} else {
-				p.stack = append(p.stack, podemDecision{input: in, value: v})
-				p.assignInput(in, v)
-				continue
-			}
-		}
-		// Conflict: flip the most recent unflipped decision.
-		flipped := false
-		for len(p.stack) > 0 {
-			top := &p.stack[len(p.stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				top.value = top.value.Not()
-				p.assignInput(top.input, top.value)
-				flipped = true
-				break
-			}
-			p.assignInput(top.input, logic.X)
-			p.stack = p.stack[:len(p.stack)-1]
-		}
-		if !flipped {
-			return podemUntestable
-		}
-		p.backtracks++
-		if p.backtracks > p.env.maxBacktracks {
-			return podemAborted
+		if st, done := p.step(); done {
+			return st
 		}
 	}
+}
+
+// step takes one search step from an implied state: it reports a
+// detection, or pushes the next decision, or backtracks and flips the
+// most recent unflipped decision. done reports that st is final;
+// otherwise the next imply propagates the input step set.
+func (p *podem) step() (st podemStatus, done bool) {
+	if p.detected() {
+		return podemSuccess, true
+	}
+	if obj, val, ok := p.objective(); ok {
+		in, v := p.backtrace(obj, val)
+		// Backtrace can land on an assigned input on reconvergent paths;
+		// that is a conflict.
+		if p.assign[in] == logic.X {
+			p.stack = append(p.stack, podemDecision{input: in, value: v, mark: len(p.trail)})
+			p.assignInput(in, v)
+			return 0, false
+		}
+	}
+	// Conflict: pop the flipped decisions, rewind to the mark of the most
+	// recent unflipped one and flip it.
+	k := len(p.stack) - 1
+	for ; k >= 0 && p.stack[k].flipped; k-- {
+		p.assign[p.stack[k].input] = logic.X
+	}
+	p.stack = p.stack[:k+1]
+	if k < 0 {
+		return podemUntestable, true
+	}
+	top := &p.stack[k]
+	top.flipped = true
+	top.value = top.value.Not()
+	p.rewind(top.mark)
+	p.assignInput(top.input, top.value)
+	p.backtracks++
+	if p.backtracks > p.env.maxBacktracks {
+		return podemAborted, true
+	}
+	return 0, false
 }

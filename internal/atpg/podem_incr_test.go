@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,9 +15,12 @@ import (
 // guidance, the incremental engine must reach the same status with the
 // same backtrack count and (on success) the same input assignment as the
 // whole-circuit re-implication engine, which evaluates through
-// logic.Eval. Both engines are reused across faults, the way generation
-// uses them, so reset hygiene is covered too. s1423 brings NAND4/NOR4
-// gates, depth 28 and over a hundred aborted searches.
+// logic.Eval, and every search step in between must agree
+// (requirePodemModesAgree). Both engines are reused across faults, the
+// way generation uses them, so reset hygiene is covered too. s1423
+// brings NAND4/NOR4 gates, depth 28 and over a hundred aborted searches;
+// s1196 and s1238 have many faults whose region is a small cone. The
+// pass must exercise both the undo trail and the region cut.
 func TestIncrementalPodemMatchesFull(t *testing.T) {
 	type namedCircuit struct {
 		name string
@@ -28,20 +32,48 @@ func TestIncrementalPodemMatchesFull(t *testing.T) {
 		{"s510", loadISCAS(t, "s510")},
 	}
 	if !testing.Short() {
-		circuits = append(circuits, namedCircuit{"s1423", loadISCAS(t, "s1423")})
+		for _, name := range []string{"s1423", "s1196", "s1238"} {
+			circuits = append(circuits, namedCircuit{name, loadISCAS(t, name)})
+		}
 	}
+	var total podemModeStats
 	for _, tc := range circuits {
 		for _, useSCOAP := range []bool{false, true} {
-			requirePodemModesAgree(t, tc.name, tc.c, useSCOAP, 64)
+			stats := requirePodemModesAgree(t, tc.name, tc.c, useSCOAP, 64)
+			total.flips += stats.flips
+			total.cut += stats.cut
 		}
+	}
+	if total.flips == 0 || total.cut == 0 {
+		t.Fatalf("%d implies after a rewind and flip, %d faults with a cut region; want both > 0",
+			total.flips, total.cut)
 	}
 }
 
-// requirePodemModesAgree runs every fault of c through one reused
-// incremental engine and one reused full engine, and fails at the first
-// fault where the status, the backtrack count or, on success, the input
-// assignment differ.
-func requirePodemModesAgree(t testing.TB, label string, c *netlist.Circuit, useSCOAP bool, maxBacktracks int) {
+// podemModeStats counts what a requirePodemModesAgree pass exercised.
+type podemModeStats struct {
+	// flips is the number of compared implies that followed a trail
+	// rewind and a flip.
+	flips int
+	// cut is the number of faults whose region R left out some gate.
+	cut int
+}
+
+// requirePodemModesAgree drives every fault of c through one reused
+// incremental engine and one reused full engine in lockstep, one search
+// step at a time, run's loop unrolled. It fails at the first divergence:
+//   - the incremental engine's region must be closed under fanin and
+//     hold R = TFI(TFO(f)) as a whole-circuit pass computes it, and be
+//     exactly R when the circuit has at most 256 sinks;
+//   - after every imply, including the one right after each trail rewind
+//     and flip, every net of R must carry the same dual-rail value in
+//     both engines, the incremental difference set (marks, list
+//     membership, observed count) must match those values, and both
+//     engines must agree on detection;
+//   - after every step, the statuses and the decision stacks must match,
+//     and at the end the backtrack counts and, on success, the input
+//     assignments.
+func requirePodemModesAgree(t testing.TB, label string, c *netlist.Circuit, useSCOAP bool, maxBacktracks int) podemModeStats {
 	t.Helper()
 	var sc *testability.Analysis
 	if useSCOAP {
@@ -50,17 +82,151 @@ func requirePodemModesAgree(t testing.TB, label string, c *netlist.Circuit, useS
 	env := newPodemEnv(c, sc, maxBacktracks)
 	inc := env.newPodem(false)
 	full := env.newPodem(true)
+	sinks := 0
+	for n := range c.Nets {
+		if len(c.Nets[n].Fanout) == 0 {
+			sinks++
+		}
+	}
+	exact := sinks <= 64*maxReachWords
+	var stats podemModeStats
 	for _, f := range AllFaults(c) {
-		si := inc.run(f)
-		sf := full.run(f)
-		if si != sf || inc.backtracks != full.backtracks {
-			t.Fatalf("%s scoap=%v fault %s: incremental (status=%d bt=%d) vs full (status=%d bt=%d)",
-				label, useSCOAP, f.Name(c), si, inc.backtracks, sf, full.backtracks)
+		where := func(step int) string {
+			return fmt.Sprintf("%s scoap=%v fault %s step %d", label, useSCOAP, f.Name(c), step)
 		}
-		if si == podemSuccess && !reflect.DeepEqual(inc.assign, full.assign) {
-			t.Fatalf("%s scoap=%v fault %s: assignments diverge",
-				label, useSCOAP, f.Name(c))
+		inR := regionOf(c, f.Net)
+		inc.reset(f)
+		full.reset(f)
+		cut := false
+		for gi, marked := range inc.inRegion {
+			if r := inR[c.Gates[gi].Output]; r && !marked || exact && marked != r {
+				t.Fatalf("%s: gate %d marked %v, R says %v", where(0), gi, marked, r)
+			}
+			cut = cut || !marked
+			for _, in := range c.Gates[gi].Inputs {
+				if d := c.Nets[in].Driver; marked && d != netlist.InvalidGate && !inc.inRegion[d] {
+					t.Fatalf("%s: gate %d is marked but its fanin gate %d is not", where(0), gi, d)
+				}
+			}
 		}
+		if cut {
+			stats.cut++
+		}
+		for step, flipped := 0, false; ; step++ {
+			inc.imply()
+			full.imply()
+			if flipped {
+				stats.flips++
+			}
+			obs := 0
+			for n, r := range inR {
+				if !r {
+					continue
+				}
+				if inc.val[n] != full.val[n] {
+					t.Fatalf("%s: net %s is %04b incrementally, %04b in full", where(step),
+						c.Nets[n].Name, inc.val[n], full.val[n])
+				}
+				d := diffPair(inc.val[n])
+				if inc.diffMark[n] != d || d && !inc.inList[n] {
+					t.Fatalf("%s: net %s difference mark %v listed %v, value %04b", where(step),
+						c.Nets[n].Name, inc.diffMark[n], inc.inList[n], inc.val[n])
+				}
+				if d && env.observed[n] {
+					obs++
+				}
+			}
+			if inc.obsDiff != obs || inc.detected() != full.detected() {
+				t.Fatalf("%s: observed differences %d (counted %d), detected %v vs full %v", where(step),
+					inc.obsDiff, obs, inc.detected(), full.detected())
+			}
+			bt := inc.backtracks
+			si, doneI := inc.step()
+			sf, doneF := full.step()
+			if doneI != doneF || si != sf || inc.backtracks != full.backtracks {
+				t.Fatalf("%s: incremental (done=%v status=%d bt=%d) vs full (done=%v status=%d bt=%d)",
+					where(step), doneI, si, inc.backtracks, doneF, sf, full.backtracks)
+			}
+			if len(inc.stack) != len(full.stack) {
+				t.Fatalf("%s: decision stacks %d vs %d deep", where(step), len(inc.stack), len(full.stack))
+			}
+			for k, d := range inc.stack {
+				if e := full.stack[k]; d.input != e.input || d.value != e.value || d.flipped != e.flipped {
+					t.Fatalf("%s: decision %d is %+v incrementally, %+v in full", where(step), k, d, e)
+				}
+			}
+			if doneI {
+				if si == podemSuccess && !reflect.DeepEqual(inc.assign, full.assign) {
+					t.Fatalf("%s: assignments diverge", where(step))
+				}
+				break
+			}
+			flipped = inc.backtracks != bt
+		}
+	}
+	return stats
+}
+
+// regionOf computes fault site f's region R = TFI(TFO(f)) over whole
+// topological passes: forward for the nets f reaches, then backward for
+// every net feeding one of them.
+func regionOf(c *netlist.Circuit, f netlist.NetID) []bool {
+	inR := make([]bool, c.NumNets())
+	inR[f] = true
+	topo := c.Topo()
+	for _, gi := range topo {
+		g := &c.Gates[gi]
+		for _, in := range g.Inputs {
+			if inR[in] {
+				inR[g.Output] = true
+				break
+			}
+		}
+	}
+	for i := len(topo) - 1; i >= 0; i-- {
+		if g := &c.Gates[topo[i]]; inR[g.Output] {
+			for _, in := range g.Inputs {
+				inR[in] = true
+			}
+		}
+	}
+	return inR
+}
+
+// TestPodemRegionManySinks covers a circuit with more sinks than
+// podemEnv.reach has groups: 300 primary-output NAND gates over 10
+// inputs. Sharing a group, a sink drags its neighbour's fanin cone into
+// the region, which must then still be closed under fanin and hold R,
+// with both engines agreeing step by step.
+func TestPodemRegionManySinks(t *testing.T) {
+	c := netlist.New("sinks")
+	for i := 0; i < 10; i++ {
+		c.AddPI(fmt.Sprintf("a%d", i))
+	}
+	for i := 0; i < 300; i++ {
+		out := fmt.Sprintf("g%d", i)
+		c.AddGate(logic.Nand, out, fmt.Sprintf("a%d", i%10), fmt.Sprintf("a%d", (i*7+3)%10))
+		c.MarkPO(out)
+	}
+	c.MustFreeze()
+	p := newPodemEnv(c, nil, 64).newPodem(false)
+	f := Fault{Net: c.PIs[0]}
+	p.reset(f)
+	inR := regionOf(c, f.Net)
+	marked, exact := 0, 0
+	for gi, m := range p.inRegion {
+		if m {
+			marked++
+		}
+		if inR[c.Gates[gi].Output] {
+			exact++
+		}
+	}
+	if marked <= exact {
+		t.Fatalf("a0's region has %d gates, R has %d: want a strict superset", marked, exact)
+	}
+	for _, useSCOAP := range []bool{false, true} {
+		requirePodemModesAgree(t, "sinks", c, useSCOAP, 64)
 	}
 }
 
@@ -119,7 +285,8 @@ func TestPodemEvalPairMatchesEval(t *testing.T) {
 // TestPodemRunNoAllocs pins the incremental engine's steady state: once
 // a pass over s1423's faults has grown the level buckets, the decision
 // stack and the difference list, running a fault on the reused engine
-// allocates nothing.
+// allocates nothing; the undo trail, the region stamps and the region
+// worklist are sized in newPodem and reused.
 func TestPodemRunNoAllocs(t *testing.T) {
 	c := loadISCAS(t, "s1423")
 	p := newPodemEnv(c, testability.Compute(c), 64).newPodem(false)

@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -723,7 +724,7 @@ func (s *Service) runJob(j *Job) {
 
 	cfg := s.opts.Cfg
 	cfg.Activity = j.activity
-	cmp, err := s.run(j.ctx, j.circ, cfg)
+	cmp, err := s.runRecovered(j, cfg)
 
 	// Marshal the result once: the same bytes become the HTTP response
 	// body and the persisted store entry, so a later warm-start serve is
@@ -755,6 +756,20 @@ func (s *Service) runJob(j *Job) {
 	// Count the job's circuit; its trace span closed when the Compare
 	// returned, as an Engine.Run progress feed would count it.
 	s.rec.FinishCircuit(j.Circuit)
+}
+
+// runRecovered calls the Runner behind a panic boundary: a panic fails
+// this job with an internal error, its stack goes to the log, and the
+// daemon and its worker live on.
+func (s *Service) runRecovered(j *Job, cfg scanpower.Config) (cmp *scanpower.Comparison, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.log.Error("job panicked", "job_id", j.ID, "trace_id", j.traceID,
+				"circuit", j.Circuit, "panic", r, "stack", string(debug.Stack()))
+			cmp, err = nil, fmt.Errorf("internal error: %v", r)
+		}
+	}()
+	return s.run(j.ctx, j.circ, cfg)
 }
 
 // failureState maps a job error to canceled/failed: explicit cancellation

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -568,4 +570,79 @@ func TestFailedJobLeavesCoalescingMap(t *testing.T) {
 	if code != http.StatusOK || cached["coalesced"] != true || cached["id"] != retry["id"] {
 		t.Fatalf("done job not served as cache entry: status %d (%v)", code, cached)
 	}
+}
+
+// lockedBuffer is an io.Writer the service's workers and the test can
+// share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunnerPanicFailsJob checks the panic boundary around the Runner: a
+// panicking job fails with an internal error and a logged stack, its run
+// span closes with that error, the daemon stays healthy, and the next job
+// on the same worker finishes.
+func TestRunnerPanicFailsJob(t *testing.T) {
+	var logs lockedBuffer
+	first := true
+	_, srv := newTestServer(t, Options{
+		Workers: 1, QueueSize: 2,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+		Runner: func(ctx context.Context, c *netlist.Circuit, cfg scanpower.Config) (*scanpower.Comparison, error) {
+			if first {
+				first = false
+				panic("injected panic")
+			}
+			return &scanpower.Comparison{Circuit: c.Name}, nil
+		},
+	})
+
+	code, _, body := postJob(t, srv.URL, map[string]any{"circuit": "s344"})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%v)", code, body)
+	}
+	id := body["id"].(string)
+	job := pollState(t, srv.URL, id, func(st string) bool { return st != "queued" && st != "running" })
+	if job["state"] != "failed" {
+		t.Fatalf("panicking job settled as %v, want failed", job["state"])
+	}
+	if msg, _ := job["error"].(string); !strings.HasPrefix(msg, "internal error: injected panic") {
+		t.Errorf("job error = %q, want an internal error naming the panic", msg)
+	}
+	if l := logs.String(); !strings.Contains(l, `msg="job panicked"`) || !strings.Contains(l, "runtime/debug.Stack") {
+		t.Errorf("log lacks the panic line with its stack:\n%s", l)
+	}
+	_, tr := traceDoc(t, srv.URL, id)
+	var runErr any
+	for _, sp := range tr["spans"].([]any) {
+		if m := sp.(map[string]any); m["name"] == "run" {
+			attrs, _ := m["attrs"].(map[string]any)
+			runErr = attrs["error"]
+		}
+	}
+	if msg, _ := runErr.(string); !strings.HasPrefix(msg, "internal error:") {
+		t.Errorf("run span error = %v, want the internal error", runErr)
+	}
+
+	if hcode, _, hz := fetchJSON(t, srv.URL+"/v1/healthz"); hcode != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz after the panic: status %d (%v)", hcode, hz)
+	}
+	code, _, body = postJob(t, srv.URL, map[string]any{"circuit": "s382"})
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit: status %d (%v)", code, body)
+	}
+	pollState(t, srv.URL, body["id"].(string), func(st string) bool { return st == "done" })
 }
