@@ -2,6 +2,7 @@ package scanpower
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -235,16 +236,23 @@ func directPatterns(cfg Config) patternSource {
 
 // generate is the ATPG stage: generation on c under a stage scope of ctx,
 // whose start and done always pair up.
-func generate(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (*atpg.Result, error) {
+// The done event is deferred, so a panic in generation still closes the
+// stage (as failed) before it unwinds.
+func generate(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (res *atpg.Result, err error) {
 	ctx, sc := probe.Stage(ctx, StageATPG)
 	start := time.Now()
-	res, err := atpg.GenerateObserved(ctx, c, opts, atpgObserver(sc, c))
+	defer func() {
+		if res == nil {
+			sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start), Failed: true})
+			return
+		}
+		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
+			Patterns: len(res.Patterns), Backtracks: res.Backtracks})
+	}()
+	res, err = atpg.GenerateObserved(ctx, c, opts, atpgObserver(sc, c))
 	if err != nil {
-		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start), Failed: true})
 		return nil, err
 	}
-	sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
-		Patterns: len(res.Patterns), Backtracks: res.Backtracks})
 	return res, nil
 }
 
@@ -272,8 +280,9 @@ type patternEntry struct {
 
 // patternCache memoizes ATPG results with in-flight coalescing: when two
 // workers need the same circuit's patterns, one generates and the other
-// waits. Failed runs (including cancellations) are evicted so a later
-// caller with a healthy context retries instead of inheriting the error.
+// waits. Failed runs (including cancellations and panics) are evicted so
+// a later caller with a healthy context retries instead of inheriting the
+// error.
 type patternCache struct {
 	mu sync.Mutex
 	m  map[patternKey]*patternEntry
@@ -295,13 +304,7 @@ func (pc *patternCache) get(ctx context.Context, key patternKey,
 			e = &patternEntry{done: make(chan struct{})}
 			pc.m[key] = e
 			pc.mu.Unlock()
-			e.res, e.err = gen()
-			if e.err != nil {
-				pc.mu.Lock()
-				delete(pc.m, key)
-				pc.mu.Unlock()
-			}
-			close(e.done)
+			pc.fill(key, e, gen)
 			return e.res, false, e.err
 		}
 		pc.mu.Unlock()
@@ -319,6 +322,33 @@ func (pc *patternCache) get(ctx context.Context, key patternKey,
 			return nil, false, ctx.Err()
 		}
 	}
+}
+
+// errGenPanicked is what waiters on an entry see when its generation
+// panicked; they retry, and the panic itself unwinds the generating
+// caller.
+var errGenPanicked = errors.New("scanpower: ATPG generation panicked")
+
+// fill runs gen for the new entry e and settles it: a failure evicts e
+// before done closes. The settling is deferred, so a panic in gen also
+// evicts e and releases its waiters before it propagates, instead of
+// leaving every later caller for key blocked on an entry that never
+// settles.
+func (pc *patternCache) fill(key patternKey, e *patternEntry, gen func() (*atpg.Result, error)) {
+	panicked := true
+	defer func() {
+		if panicked {
+			e.err = errGenPanicked
+		}
+		if e.err != nil {
+			pc.mu.Lock()
+			delete(pc.m, key)
+			pc.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.res, e.err = gen()
+	panicked = false
 }
 
 // Engine runs Table I-style experiments across a bounded worker pool with

@@ -253,3 +253,106 @@ func TestEngineSeedStableJSON(t *testing.T) {
 		t.Errorf("-j 1 and -j 8 render different JSON:\n--- j=1 ---\n%s--- j=8 ---\n%s", serial, parallel)
 	}
 }
+
+// TestPatternCachePanicEvicts: a generation that panics must not wedge
+// its key. The panic reaches the generating caller, a caller already
+// waiting on the entry is released and regenerates, and the entry is
+// gone, so a later caller regenerates too instead of waiting forever.
+func TestPatternCachePanicEvicts(t *testing.T) {
+	var pc patternCache
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	key := patternKey{fp: 7}
+	want := &atpg.Result{}
+
+	started := make(chan struct{})
+	waited := make(chan error, 1)
+	go func() {
+		<-started
+		res, hit, err := pc.get(ctx, key, func() (*atpg.Result, error) { return want, nil })
+		if err == nil && (hit || res != want) {
+			err = errors.New("waiter did not regenerate after the panic")
+		}
+		waited <- err
+	}()
+	func() {
+		defer func() {
+			if r := recover(); r != "injected" {
+				t.Errorf("recovered %v, want the injected panic", r)
+			}
+		}()
+		pc.get(ctx, key, func() (*atpg.Result, error) {
+			close(started)
+			// Let the waiter reach its wait. Should it only get there
+			// after the panic, it regenerates all the same.
+			time.Sleep(10 * time.Millisecond)
+			panic("injected")
+		})
+	}()
+	if err := <-waited; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	if res, hit, err := pc.get(ctx, key, func() (*atpg.Result, error) { return nil, nil }); err != nil || !hit || res != want {
+		t.Errorf("after the waiter regenerated: res=%p hit=%v err=%v, want its result as a hit", res, hit, err)
+	}
+}
+
+// TestStageHooksPairedOnPanic: a panic inside a stage (ATPG, or a
+// measurement stage) still pairs the stage's OnStageStart with a failed
+// OnStageDone before it unwinds, leaves no span open, and leaves the
+// Engine usable: the next Compare of the same circuit finishes instead of
+// blocking on the pattern cache.
+func TestStageHooksPairedOnPanic(t *testing.T) {
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, panicIn := range []string{StageATPG, StageProposed} {
+		t.Run("panic-during-"+panicIn, func(t *testing.T) {
+			bal := newStageBalance()
+			var buf bytes.Buffer
+			tw := telemetry.NewTraceWriter(&buf)
+			rec := NewRecorder(telemetry.NewRegistry(), tw)
+			var mu sync.Mutex
+			armed := true
+			trigger := Hooks{OnSubStage: func(_, stage, _ string, _ time.Duration, _ StageInfo) {
+				mu.Lock()
+				fire := armed && stage == panicIn
+				if fire {
+					armed = false
+				}
+				mu.Unlock()
+				if fire {
+					panic("injected " + stage + " panic")
+				}
+			}}
+			eng := NewEngine(DefaultConfig())
+			eng.Hooks = MergeHooks(trigger, bal.hooks(), rec.Hooks())
+			func() {
+				defer func() {
+					if r := recover(); r == nil {
+						t.Fatal("Compare returned without the injected panic")
+					}
+				}()
+				eng.Compare(context.Background(), c)
+			}()
+			bal.check(t)
+			bal.mu.Lock()
+			if bal.failed[panicIn] != 1 {
+				t.Errorf("stage %s panicked but %d failed OnStageDone reports, want 1", panicIn, bal.failed[panicIn])
+			}
+			bal.mu.Unlock()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if _, err := eng.Compare(ctx, c); err != nil {
+				t.Fatalf("Compare after the panic: %v", err)
+			}
+			bal.check(t)
+			rec.Close()
+			if open := tw.OpenSpans(); open != 0 {
+				t.Errorf("%d spans still open after Recorder.Close", open)
+			}
+		})
+	}
+}

@@ -50,16 +50,13 @@ func evalPair(t logic.GateType, ins []netlist.NetID, val []uint8) uint8 {
 	case logic.Not:
 		return notPair(val[ins[0]])
 	case logic.And, logic.Nand:
-		// 0 when any input is 0, 1 when every input is 1.
-		anyBit, allBits := reducePair(ins, val)
-		r := anyBit&railZero | allBits&railOne
+		r := andPair(reducePair(ins, val))
 		if t == logic.Nand {
 			return notPair(r)
 		}
 		return r
 	case logic.Or, logic.Nor:
-		anyBit, allBits := reducePair(ins, val)
-		r := anyBit&railOne | allBits&railZero
+		r := orPair(reducePair(ins, val))
 		if t == logic.Nor {
 			return notPair(r)
 		}
@@ -90,6 +87,12 @@ func evalPair(t logic.GateType, ins []netlist.NetID, val []uint8) uint8 {
 	}
 	panic("atpg: evalPair on unknown gate type " + t.String())
 }
+
+// andPair and orPair are an AND and an OR on both rails, from the OR
+// (anyBit) and the AND (allBits) of the inputs' dual-rail values: an AND
+// is 0 when any input is 0 and 1 when every input is 1, an OR the dual.
+func andPair(anyBit, allBits uint8) uint8 { return anyBit&railZero | allBits&railOne }
+func orPair(anyBit, allBits uint8) uint8  { return anyBit&railOne | allBits&railZero }
 
 // reducePair returns the OR and the AND of the inputs' dual-rail values.
 func reducePair(ins []netlist.NetID, val []uint8) (anyBit, allBits uint8) {
@@ -517,16 +520,16 @@ func (p *podem) imply() {
 				nv = notPair(val[env.fanin[off]])
 			case fopAnd2:
 				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = (a|b)&railZero | a&b&railOne
+				nv = andPair(a|b, a&b)
 			case fopNand2:
 				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = notPair((a|b)&railZero | a&b&railOne)
+				nv = notPair(andPair(a|b, a&b))
 			case fopOr2:
 				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = (a|b)&railOne | a&b&railZero
+				nv = orPair(a|b, a&b)
 			case fopNor2:
 				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = notPair((a|b)&railOne | a&b&railZero)
+				nv = notPair(orPair(a|b, a&b))
 			default:
 				nv = evalPair(env.gType[gi], env.faninOf(gi), val)
 			}

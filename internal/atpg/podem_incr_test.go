@@ -285,8 +285,8 @@ func TestPodemEvalPairMatchesEval(t *testing.T) {
 // TestPodemRunNoAllocs pins the incremental engine's steady state: once
 // a pass over s1423's faults has grown the level buckets, the decision
 // stack and the difference list, running a fault on the reused engine
-// allocates nothing; the undo trail, the region stamps and the region
-// worklist are sized in newPodem and reused.
+// allocates nothing; the undo trail and the inRegion marks are sized in
+// newPodem and reused.
 func TestPodemRunNoAllocs(t *testing.T) {
 	c := loadISCAS(t, "s1423")
 	p := newPodemEnv(c, testability.Compute(c), 64).newPodem(false)

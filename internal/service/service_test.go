@@ -646,3 +646,39 @@ func TestRunnerPanicFailsJob(t *testing.T) {
 	}
 	pollState(t, srv.URL, body["id"].(string), func(st string) bool { return st == "done" })
 }
+
+// TestEnginePanicFailsJobOnce runs a panic inside ATPG generation through
+// the shared Engine, not a fake Runner: the job fails with an internal
+// error, and a resubmit of the same circuit regenerates and finishes
+// instead of waiting forever on the pattern-cache entry the panicking
+// generation had claimed.
+func TestEnginePanicFailsJobOnce(t *testing.T) {
+	svc, srv := newTestServer(t, Options{Workers: 1, QueueSize: 2})
+	var once sync.Once
+	// Set before the first submit, so no worker is reading the Hooks.
+	svc.Engine().Hooks.OnSubStage = func(_, stage, _ string, _ time.Duration, _ scanpower.StageInfo) {
+		if stage == scanpower.StageATPG {
+			once.Do(func() { panic("injected ATPG panic") })
+		}
+	}
+
+	submit := func() string {
+		t.Helper()
+		code, _, body := postJob(t, srv.URL, map[string]any{"circuit": "s344"})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: status %d (%v)", code, body)
+		}
+		return body["id"].(string)
+	}
+	terminal := func(st string) bool { return st != "queued" && st != "running" }
+	job := pollState(t, srv.URL, submit(), terminal)
+	if job["state"] != "failed" {
+		t.Fatalf("job with a panicking ATPG settled as %v, want failed", job["state"])
+	}
+	if msg, _ := job["error"].(string); !strings.HasPrefix(msg, "internal error: injected ATPG panic") {
+		t.Errorf("job error = %q, want an internal error naming the panic", msg)
+	}
+	if job = pollState(t, srv.URL, submit(), terminal); job["state"] != "done" {
+		t.Fatalf("resubmit after the panic settled as %v (%v), want done", job["state"], job["error"])
+	}
+}

@@ -219,15 +219,19 @@ func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config, gen patter
 		FaultCoverage: res.Coverage(),
 	}
 	// stage runs one structure's build+measure in a stage scope under a
-	// guaranteed start/done pair: the done event fires on the error paths
-	// too (with Failed set), so span accounting stays balanced however the
-	// experiment ends.
+	// guaranteed start/done pair: the done event is deferred and fires on
+	// the error and panic paths too (with Failed set), so span accounting
+	// stays balanced however the experiment ends.
 	stage := func(name string, body func(ctx context.Context) error) error {
 		ctx, sc := probe.Stage(ctx, name)
 		start := time.Now()
+		ok := false
+		defer func() {
+			sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
+				Patterns: len(res.Patterns), Failed: !ok})
+		}()
 		err := body(ctx)
-		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
-			Patterns: len(res.Patterns), Failed: err != nil})
+		ok = err == nil
 		return err
 	}
 
