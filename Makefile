@@ -47,16 +47,20 @@ manifest-smoke:
 # The telemetry path under the race detector: concurrent Engine workers
 # and same-named concurrent Compares feeding one Recorder, registry, and
 # trace writer through the probe scopes. The packed measurement kernel,
-# packed Monte-Carlo, hook-pairing and scanpowerd service tests ride along
-# so the bit-parallel paths and the job queue are raced too, and so is
-# the panic boundary around a job's run (TestRunnerPanicFailsJob).
+# hook-pairing and scanpowerd service tests ride along so the
+# bit-parallel paths and the job queue are raced too, and so is the panic
+# boundary around a job's run (TestRunnerPanicFailsJob). The Monte-Carlo
+# tests (MCPacked, MCBatch) race the obs and fill batch loops, which
+# start no goroutines, against the Engine workers and the Recorder that
+# receive their probe events.
 telemetry-race:
 	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch|RunnerPanicFailsJob|EnginePanicFailsJobOnce' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
 
 # The 256-lane compiled kernels under the race detector: the Compile
 # lowering property test, the wide-vs-scalar equivalence suites, and
 # every packed consumer (measure, obs, fill, faultsim, leakage
-# accumulators).
+# accumulators). The obs and fill kernels are one serial batch loop each
+# with buffers allocated per call; their allocation tests run here too.
 wide-race:
 	$(GO) test -race -run 'Wide|Compile|PackedW|FaultSimW|MeasureScanPacked|EstimatePacked|FillPacked' ./internal/sim/ ./internal/leakage/ ./internal/power/ ./internal/obs/ ./internal/core/ ./internal/atpg/
 
@@ -111,7 +115,9 @@ obs-smoke:
 # same difference set; then the same decisions, status, backtracks and
 # assignment for every fault, at 16 and at 64 backtracks), and random
 # circuit profiles through the linear-time and original quadratic circuit
-# generators (same error, or same .bench text and fingerprint). The seed
+# generators (same error, or same .bench text and fingerprint). FuzzVerilog
+# feeds arbitrary text to the Verilog reader the daemon runs on inline
+# submissions: an error or a frozen circuit, never a panic. The seed
 # corpora also run on every plain `go test`.
 fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
@@ -121,3 +127,4 @@ fuzz-equiv:
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzFaultSimEquivalence -fuzztime 10s
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzPodemEquivalence -fuzztime 10s
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s
+	$(GO) test ./internal/verilog/ -run '^$$' -fuzz FuzzVerilog -fuzztime 10s

@@ -474,6 +474,14 @@ func (e *Engine) Run(ctx context.Context, names []string) (<-chan Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return e.run(ctx, names, nil), nil
+}
+
+// run is Run with an optional fail hook: a worker hands each failed
+// circuit's name-decorated error to fail before it reports the circuit.
+// RunAll and WriteTable pass their context's cancel function, so the
+// first failure cancels the run before any worker takes another circuit.
+func (e *Engine) run(ctx context.Context, names []string, fail context.CancelCauseFunc) <-chan Result {
 	workers := e.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -502,6 +510,9 @@ func (e *Engine) Run(ctx context.Context, names []string) (<-chan Result, error)
 				} else {
 					r.Comparison, r.Err = compareWith(cctx, c, e.Cfg, e.patternsFor(e.Cfg))
 				}
+				if r.Err != nil && fail != nil {
+					fail(fmt.Errorf("%s: %w", r.Name, r.Err))
+				}
 				out <- r
 				sc.Emit(probe.Event{Kind: probe.Progress, N: int(done.Add(1)), Total: len(names)})
 				sc.Close()
@@ -522,46 +533,50 @@ func (e *Engine) Run(ctx context.Context, names []string) (<-chan Result, error)
 		wg.Wait()
 		close(out)
 	}()
-	return out, nil
+	return out
 }
 
 // RunAll is the blocking form of Run: it returns the comparisons in input
-// order, or the first error (decorated with its circuit name). On
+// order, or the first error (decorated with its circuit name). The first
+// failure cancels the rest of the run: no worker starts another circuit,
+// and circuits in flight abort at their next context check. On
 // cancellation it returns ctx's error.
 func (e *Engine) RunAll(ctx context.Context, names []string) ([]*Comparison, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ch, err := e.Run(ctx, names)
-	if err != nil {
-		return nil, err
-	}
+	runCtx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 	out := make([]*Comparison, len(names))
-	var firstErr error
 	got := 0
-	for r := range ch {
-		got++
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", r.Name, r.Err)
-			}
-			continue
+	for r := range e.run(runCtx, names, fail) {
+		if r.Err == nil {
+			out[r.Index] = r.Comparison
+			got++
 		}
-		out[r.Index] = r.Comparison
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	if got < len(names) {
-		return nil, ctx.Err()
+		return nil, runErr(ctx, runCtx)
 	}
 	return out, nil
+}
+
+// runErr is the error of a fail-fast run on runCtx, derived from ctx:
+// ctx's own error when the caller cancelled, else the first circuit's
+// failure that cancelled runCtx.
+func runErr(ctx, runCtx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return context.Cause(runCtx)
 }
 
 // WriteTable renders the Table I rows for names to w in input order,
 // streaming each row as soon as every earlier row is available. With
 // Workers > 1 the output is byte-identical to the sequential WriteTable —
-// the experiments are independent and individually deterministic.
+// the experiments are independent and individually deterministic. The
+// first failure cancels the rest of the run, as in RunAll; rows before
+// the first failed or cancelled circuit are still written.
 func (e *Engine) WriteTable(ctx context.Context, w io.Writer, names []string) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -569,13 +584,11 @@ func (e *Engine) WriteTable(ctx context.Context, w io.Writer, names []string) er
 	if _, err := fmt.Fprintln(w, TableHeader()); err != nil {
 		return err
 	}
-	ch, err := e.Run(ctx, names)
-	if err != nil {
-		return err
-	}
+	runCtx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 	pending := make(map[int]Result, len(names))
 	next := 0
-	for r := range ch {
+	for r := range e.run(runCtx, names, fail) {
 		pending[r.Index] = r
 		for {
 			rr, ok := pending[next]
@@ -584,9 +597,10 @@ func (e *Engine) WriteTable(ctx context.Context, w io.Writer, names []string) er
 			}
 			delete(pending, next)
 			if rr.Err != nil {
-				// The out channel is buffered for the whole run, so the
-				// remaining workers finish without a reader.
-				return fmt.Errorf("%s: %w", rr.Name, rr.Err)
+				// Returning cancels the run; the out channel is buffered
+				// for the whole run, so the aborting workers finish
+				// without a reader.
+				return runErr(ctx, runCtx)
 			}
 			if _, err := fmt.Fprintln(w, rr.Comparison.Row()); err != nil {
 				return err
@@ -595,7 +609,7 @@ func (e *Engine) WriteTable(ctx context.Context, w io.Writer, names []string) er
 		}
 	}
 	if next < len(names) {
-		return ctx.Err()
+		return runErr(ctx, runCtx)
 	}
 	return nil
 }

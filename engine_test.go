@@ -197,6 +197,48 @@ func TestEngineCacheHit(t *testing.T) {
 	}
 }
 
+// TestEngineStopsAtFirstError: a circuit error ends the whole run. With
+// one worker and the failing circuit first, RunAll and WriteTable return
+// its error and no later circuit starts a stage — neither before they
+// return nor behind their back afterwards.
+func TestEngineStopsAtFirstError(t *testing.T) {
+	var mu sync.Mutex
+	var started []string
+	eng := NewEngine(DefaultConfig())
+	eng.Workers = 1
+	eng.Hooks.OnStageStart = func(circuit, stage string) {
+		mu.Lock()
+		started = append(started, circuit+"/"+stage)
+		mu.Unlock()
+	}
+	noneStarted := func(call string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(started) > 0 {
+			t.Errorf("%s: stages started after the first error: %v", call, started)
+		}
+		started = nil
+	}
+
+	_, err := eng.RunAll(context.Background(), []string{"bogus", "s9234"})
+	if !errors.Is(err, ErrUnknownBenchmark) || !strings.HasPrefix(err.Error(), "bogus: ") {
+		t.Fatalf("RunAll error = %v, want bogus: unknown benchmark", err)
+	}
+	// RunAll drains its workers before returning, so this is final.
+	noneStarted("RunAll")
+
+	var sb strings.Builder
+	err = eng.WriteTable(context.Background(), &sb, []string{"bogus", "s1423", "s5378"})
+	if !errors.Is(err, ErrUnknownBenchmark) || !strings.HasPrefix(err.Error(), "bogus: ") {
+		t.Fatalf("WriteTable error = %v, want bogus: unknown benchmark", err)
+	}
+	// WriteTable returns without draining; give a worker that kept going
+	// the time to reach s1423's first stage.
+	time.Sleep(300 * time.Millisecond)
+	noneStarted("WriteTable")
+}
+
 // TestComparePreCancelled: an already-dead context must abort before any
 // work happens.
 func TestComparePreCancelled(t *testing.T) {

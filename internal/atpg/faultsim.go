@@ -44,10 +44,6 @@ func (fs *FaultSim) SetPattern(pi, ppi []bool) {
 	fs.good = fs.s.Eval(pi, ppi)
 }
 
-// GoodValue returns the good-circuit value of a net for the current
-// pattern.
-func (fs *FaultSim) GoodValue(n netlist.NetID) bool { return fs.good[n] }
-
 func (fs *FaultSim) val(n netlist.NetID) bool {
 	if fs.stamp[n] == fs.epoch {
 		return fs.faulty[n]
@@ -121,20 +117,4 @@ func (fs *FaultSim) Detects(f Fault) bool {
 		}
 	}
 	return false
-}
-
-// DetectAll marks, in detected, every not-yet-detected fault of faults
-// that the current pattern catches, and returns how many were new.
-func (fs *FaultSim) DetectAll(faults []Fault, detected []bool) int {
-	n := 0
-	for i, f := range faults {
-		if detected[i] {
-			continue
-		}
-		if fs.Detects(f) {
-			detected[i] = true
-			n++
-		}
-	}
-	return n
 }

@@ -6,12 +6,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestFillPackedAllocsFlat guards the scratch reuse of the packed fill:
-// once the pool is warm, the number of allocations per fillPacked call
-// must not grow with the trial count — per-batch cost buffers and
-// net-state words come from the pooled scratch. A regression that
-// allocates per batch shows up as the large run allocating far more than
-// the small one.
+// TestFillPackedAllocsFlat guards the batch loop of the packed fill:
+// the net-state words and the cost buffer are allocated once per call,
+// so the number of allocations per fillPacked call must not depend on the
+// trial count. A regression that allocates per batch shows up as the
+// large run allocating more than the small one.
 func TestFillPackedAllocsFlat(t *testing.T) {
 	c := blockableCircuit()
 	f := newTestFinder(t, c, nil)
@@ -30,13 +29,9 @@ func TestFillPackedAllocsFlat(t *testing.T) {
 			f.fillPacked(unassigned, trials)
 		})
 	}
-	run(64) // warm the scratch pool
 	small := run(256)
 	large := run(4096)
-	// Slack absorbs a pool entry dropped mid-measurement (a GC, or the
-	// race detector's random sync.Pool drops), averaged over 50 runs;
-	// per-batch allocations would exceed it by an order of magnitude.
-	if large > small+16 {
-		t.Errorf("allocs grew with trials: %v at 256, %v at 4096", small, large)
+	if large != small {
+		t.Errorf("allocs depend on trials: %v at 256, %v at 4096", small, large)
 	}
 }

@@ -110,7 +110,7 @@ func BuildContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Solut
 	if opts.ObsDirected {
 		doneObs := sc.Phase("observability")
 		var err error
-		ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng, obs.PackedOpts{})
+		ob, err = obs.EstimatePacked(ctx, work, opts.Leak, opts.ObsSamples, rng)
 		doneObs()
 		if err != nil {
 			return nil, err

@@ -70,7 +70,7 @@ func finderAtFill(t testing.TB, c *netlist.Circuit, opts Options) (*finder, []ne
 	var ob *obs.Observability
 	if opts.ObsDirected {
 		var err error
-		ob, err = obs.EstimatePacked(context.Background(), work, opts.Leak, opts.ObsSamples, rng, obs.PackedOpts{})
+		ob, err = obs.EstimatePacked(context.Background(), work, opts.Leak, opts.ObsSamples, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,35 +56,30 @@ func testCircuit(t testing.TB) *netlist.Circuit {
 
 // TestMCPackedObsEquivalence: the packed estimator must reproduce the
 // scalar kernel bit for bit — across word- and batch-boundary sample
-// counts, worker counts, and the s27 real circuit — and leave the rng in
-// the same state.
+// counts and the s27 real circuit — and leave the rng in the same state.
 func TestMCPackedObsEquivalence(t *testing.T) {
 	lm := leakage.Default()
 	circuits := []*netlist.Circuit{testCircuit(t), iscas.S27()}
 	for _, c := range circuits {
 		for _, samples := range []int{1, 63, 64, 65, 100, 255, 256, 257, 600} {
-			for _, workers := range []int{1, 3} {
-				r1 := rand.New(rand.NewSource(42))
-				r2 := rand.New(rand.NewSource(42))
-				ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := EstimatePacked(context.Background(), c, lm, samples, r2,
-					PackedOpts{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if field := obsIdentical(ref, got); field != "" {
-					t.Fatalf("%s samples=%d workers=%d: %s differs",
-						c.Name, samples, workers, field)
-				}
-				// Seed stability beyond this call: the packed kernel must
-				// consume exactly the scalar kernel's random stream.
-				if a, b := r1.Int63(), r2.Int63(); a != b {
-					t.Fatalf("%s samples=%d: rng state diverged (%d vs %d)",
-						c.Name, samples, a, b)
-				}
+			r1 := rand.New(rand.NewSource(42))
+			r2 := rand.New(rand.NewSource(42))
+			ref, err := EstimateObserved(context.Background(), c, lm, samples, r1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EstimatePacked(context.Background(), c, lm, samples, r2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if field := obsIdentical(ref, got); field != "" {
+				t.Fatalf("%s samples=%d: %s differs", c.Name, samples, field)
+			}
+			// Seed stability beyond this call: the packed kernel must
+			// consume exactly the scalar kernel's random stream.
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("%s samples=%d: rng state diverged (%d vs %d)",
+					c.Name, samples, a, b)
 			}
 		}
 	}
@@ -112,7 +107,7 @@ func TestMCPackedObsTelemetry(t *testing.T) {
 		}
 	}, c.Name)
 	_, err := EstimatePacked(ctx, c, leakage.Default(), samples,
-		rand.New(rand.NewSource(8)), PackedOpts{})
+		rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +148,15 @@ func TestEstimateDeadline(t *testing.T) {
 		}
 	}, c.Name)
 	calls = 0
-	_, err = EstimatePacked(ctx2, c, lm, 1<<20, rand.New(rand.NewSource(1)), PackedOpts{Workers: 2})
+	_, err = EstimatePacked(ctx2, c, lm, 1<<20, rand.New(rand.NewSource(1)))
 	if err != context.Canceled {
 		t.Errorf("packed: err = %v, want context.Canceled", err)
 	}
 
 	expired, cancel3 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel3()
-	if _, err := EstimatePacked(expired, c, lm, 4096, rand.New(rand.NewSource(1)),
-		PackedOpts{}); err != context.DeadlineExceeded {
+	if _, err := EstimatePacked(expired, c, lm, 4096,
+		rand.New(rand.NewSource(1))); err != context.DeadlineExceeded {
 		t.Errorf("packed expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -171,7 +166,7 @@ func TestEstimateDeadline(t *testing.T) {
 func TestEstimatePackedDefaults(t *testing.T) {
 	c := testCircuit(t)
 	o, err := EstimatePacked(context.Background(), c, leakage.Default(), 0,
-		rand.New(rand.NewSource(3)), PackedOpts{})
+		rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,9 @@ func TestSubmitUnionValidationEnvelopes(t *testing.T) {
 		{"bad verilog", map[string]any{
 			"source": map[string]any{"verilog": "module m (a, y);\n input a;\n output y;\n frobnicate u1 (y, a);\nendmodule\n"}},
 			http.StatusUnprocessableEntity, "bad_verilog"},
+		{"bare module statement", map[string]any{
+			"source": map[string]any{"verilog": "module"}},
+			http.StatusUnprocessableEntity, "bad_verilog"},
 		{"empty activity", map[string]any{
 			"source": map[string]any{"circuit": "s344"}, "activity": map[string]any{}},
 			http.StatusUnprocessableEntity, "bad_activity"},

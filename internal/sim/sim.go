@@ -204,10 +204,3 @@ func RandomVector(rng *rand.Rand, dst []bool) {
 		dst[i] = rng.Intn(2) == 1
 	}
 }
-
-// RandomValues fills dst with random binary logic values from rng.
-func RandomValues(rng *rand.Rand, dst []logic.Value) {
-	for i := range dst {
-		dst[i] = logic.FromBool(rng.Intn(2) == 1)
-	}
-}

@@ -27,6 +27,18 @@ import (
 	"repro/internal/netlist"
 )
 
+// ParseError reports source text outside the supported subset.
+type ParseError struct {
+	Msg string
+}
+
+// Error implements the error interface.
+func (e *ParseError) Error() string { return "verilog: " + e.Msg }
+
+func syntaxError(format string, args ...any) error {
+	return &ParseError{Msg: fmt.Sprintf(format, args...)}
+}
+
 // Parse reads one structural module. If the source omits a module name,
 // fallback is used.
 func Parse(r io.Reader, fallback string) (*netlist.Circuit, error) {
@@ -50,9 +62,12 @@ func Parse(r io.Reader, fallback string) (*netlist.Circuit, error) {
 		switch kw := strings.ToLower(fields[0]); kw {
 		case "module":
 			if seenModule {
-				return nil, fmt.Errorf("verilog: multiple modules (only one supported)")
+				return nil, syntaxError("multiple modules (only one supported)")
 			}
 			seenModule = true
+			if len(fields) < 2 {
+				return nil, syntaxError("module statement %q has neither a name nor ports", st)
+			}
 			name := fields[1]
 			if i := strings.IndexByte(name, '('); i >= 0 {
 				name = name[:i]
@@ -83,7 +98,7 @@ func Parse(r io.Reader, fallback string) (*netlist.Circuit, error) {
 			}
 			if kw == "dff" {
 				if len(ins) != 1 {
-					return nil, fmt.Errorf("verilog: dff %q needs (Q, D)", st)
+					return nil, syntaxError("dff %q needs (Q, D)", st)
 				}
 				ffCount++
 				c.AddFF(fmt.Sprintf("ff%d_%s", ffCount, out), out, ins[0])
@@ -91,15 +106,15 @@ func Parse(r io.Reader, fallback string) (*netlist.Circuit, error) {
 			}
 			gt, ok := logic.ParseGateType(strings.ToUpper(kw))
 			if !ok {
-				return nil, fmt.Errorf("verilog: unknown primitive %q", kw)
+				return nil, syntaxError("unknown primitive %q", kw)
 			}
 			c.AddGate(gt, out, ins...)
 		default:
-			return nil, fmt.Errorf("verilog: unsupported statement %q", st)
+			return nil, syntaxError("unsupported statement %q", st)
 		}
 	}
 	if !seenModule {
-		return nil, fmt.Errorf("verilog: no module found")
+		return nil, syntaxError("no module found")
 	}
 	if err := c.Freeze(); err != nil {
 		return nil, fmt.Errorf("verilog: %w", err)
@@ -125,7 +140,7 @@ func stripComments(src string) (string, error) {
 		if strings.HasPrefix(src[i:], "/*") {
 			end := strings.Index(src[i+2:], "*/")
 			if end < 0 {
-				return "", fmt.Errorf("verilog: unterminated block comment")
+				return "", syntaxError("unterminated block comment")
 			}
 			i += 2 + end + 2
 			out.WriteByte(' ')
@@ -138,30 +153,43 @@ func stripComments(src string) (string, error) {
 }
 
 // splitStatements splits on ';', keeping "endmodule" as its own
-// statement (it has no terminating semicolon).
+// statement (it has no terminating semicolon). Each part is lower-cased
+// once and scanned forward, so the split is linear in the source.
 func splitStatements(src string) []string {
 	var out []string
 	for _, part := range strings.Split(src, ";") {
 		// "endmodule" carries no semicolon, so it can glue to neighbours
 		// on both sides; peel every occurrence off as its own statement.
+		lower := asciiLower(part)
 		for {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				break
-			}
-			idx := strings.Index(strings.ToLower(part), "endmodule")
+			idx := strings.Index(lower, "endmodule")
 			if idx < 0 {
-				out = append(out, part)
+				if rest := strings.TrimSpace(part); rest != "" {
+					out = append(out, rest)
+				}
 				break
 			}
 			if head := strings.TrimSpace(part[:idx]); head != "" {
 				out = append(out, head)
 			}
 			out = append(out, "endmodule")
-			part = part[idx+len("endmodule"):]
+			part, lower = part[idx+len("endmodule"):], lower[idx+len("endmodule"):]
 		}
 	}
 	return out
+}
+
+// asciiLower lower-cases the ASCII letters of s. Unlike strings.ToLower
+// it keeps every byte offset, so an index into the result is an index
+// into s even when s is not valid UTF-8.
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // declNames extracts the identifiers of an input/output/wire declaration.
@@ -185,18 +213,18 @@ func instancePorts(st string) (string, []string, error) {
 	open := strings.IndexByte(st, '(')
 	close_ := strings.LastIndexByte(st, ')')
 	if open < 0 || close_ < open {
-		return "", nil, fmt.Errorf("verilog: malformed instance %q", st)
+		return "", nil, syntaxError("malformed instance %q", st)
 	}
 	var ports []string
 	for _, pp := range strings.Split(st[open+1:close_], ",") {
 		pp = strings.TrimSpace(pp)
 		if pp == "" {
-			return "", nil, fmt.Errorf("verilog: empty port in %q", st)
+			return "", nil, syntaxError("empty port in %q", st)
 		}
 		ports = append(ports, pp)
 	}
 	if len(ports) < 2 {
-		return "", nil, fmt.Errorf("verilog: instance %q needs at least 2 ports", st)
+		return "", nil, syntaxError("instance %q needs at least 2 ports", st)
 	}
 	return ports[0], ports[1:], nil
 }

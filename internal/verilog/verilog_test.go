@@ -1,9 +1,11 @@
 package verilog
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/iscas"
@@ -108,21 +110,34 @@ func TestGeneratedBenchmarkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseErrors: every rejected source returns an error, never a
+// panic; text outside the supported subset is a *ParseError, a netlist
+// that parses but does not validate is not.
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"no module", "input a;\n"},
-		{"two modules", "module a (x); input x; endmodule\nmodule b (y); input y; endmodule\n"},
-		{"unknown stmt", "module m (a); input a; assign b = a; endmodule\n"},
-		{"bad instance", "module m (a); input a; nand u1 a; endmodule\n"},
-		{"one port", "module m (a); input a; nand u1 (a); endmodule\n"},
-		{"dff arity", "module m (a); input a; wire q; dff u1 (q, a, a); endmodule\n"},
-		{"empty port", "module m (a); input a; wire x; nand u1 (x, a, ); endmodule\n"},
-		{"undriven", "module m (a, y); input a; output y; wire z; nand u1 (y, a, z); endmodule\n"},
+	cases := []struct {
+		name, src string
+		syntax    bool
+	}{
+		{"no module", "input a;\n", true},
+		{"bare module", "module", true},
+		{"bare module statement", "module;\ninput a;\nendmodule\n", true},
+		{"two modules", "module a (x); input x; endmodule\nmodule b (y); input y; endmodule\n", true},
+		{"unknown stmt", "module m (a); input a; assign b = a; endmodule\n", true},
+		{"bad instance", "module m (a); input a; nand u1 a; endmodule\n", true},
+		{"one port", "module m (a); input a; nand u1 (a); endmodule\n", true},
+		{"dff arity", "module m (a); input a; wire q; dff u1 (q, a, a); endmodule\n", true},
+		{"empty port", "module m (a); input a; wire x; nand u1 (x, a, ); endmodule\n", true},
+		{"undriven", "module m (a, y); input a; output y; wire z; nand u1 (y, a, z); endmodule\n", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParseString(c.src, "m"); err == nil {
-				t.Errorf("accepted %q", c.src)
+			_, err := ParseString(c.src, "m")
+			if err == nil {
+				t.Fatalf("accepted %q", c.src)
+			}
+			var pe *ParseError
+			if got := errors.As(err, &pe); got != c.syntax {
+				t.Errorf("%q: error %v is a *ParseError: %v, want %v", c.src, err, got, c.syntax)
 			}
 		})
 	}
@@ -155,5 +170,24 @@ func TestSanitizedModuleName(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "module _bad_name_ ") {
 		t.Errorf("module name not sanitized:\n%s", sb.String())
+	}
+}
+
+// TestSplitLinear: a source made of glued "endmodule" keywords splits in
+// time linear in its length. Peeling each keyword off by lower-casing
+// the whole remainder again took ~17 s for 40k keywords, so 100k of them
+// (900 KB, well inside the daemon's 8 MiB source limit) must finish in
+// well under the bound.
+func TestSplitLinear(t *testing.T) {
+	src := "module m (a); input a;" + strings.Repeat("endmodule", 100000)
+	done := make(chan int, 1)
+	go func() { done <- len(splitStatements(src)) }()
+	select {
+	case n := <-done:
+		if n != 100002 {
+			t.Errorf("%d statements, want 100002", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("splitStatements is not linear: 100k glued keywords took over 10 s")
 	}
 }
