@@ -49,12 +49,16 @@ manifest-smoke:
 # trace writer through the probe scopes. The packed measurement kernel,
 # hook-pairing and scanpowerd service tests ride along so the
 # bit-parallel paths and the job queue are raced too, and so is the panic
-# boundary around a job's run (TestRunnerPanicFailsJob). The Monte-Carlo
-# tests (MCPacked, MCBatch) race the obs and fill batch loops, which
-# start no goroutines, against the Engine workers and the Recorder that
-# receive their probe events.
+# boundary around a job's run (TestRunnerPanicFailsJob), and a panic on
+# an ATPG scheduler worker, which generation returns as an error
+# (WorkerPanic). The Monte-Carlo tests (MCPacked, MCBatch) race the obs
+# and fill batch loops, which start no goroutines, against the Engine
+# workers and the Recorder that receive their probe events. The
+# byte-bounded pattern cache (PatternCache: budget, recency, in-flight
+# entries, panics) and the terminal jobs that drop their netlists
+# (DropsCircuit) run here too.
 telemetry-race:
-	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch|RunnerPanicFailsJob|EnginePanicFailsJobOnce' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
+	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch|RunnerPanicFailsJob|EnginePanicFailsJobOnce|WorkerPanic|DropsCircuit' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
 
 # The 256-lane compiled kernels under the race detector: the Compile
 # lowering property test, the wide-vs-scalar equivalence suites, and
@@ -117,8 +121,10 @@ obs-smoke:
 # circuit profiles through the linear-time and original quadratic circuit
 # generators (same error, or same .bench text and fingerprint). FuzzVerilog
 # feeds arbitrary text to the Verilog reader the daemon runs on inline
-# submissions: an error or a frozen circuit, never a panic. The seed
-# corpora also run on every plain `go test`.
+# submissions: an error or a frozen circuit, never a panic. FuzzVCD does
+# the same for the VCD reader behind activity submissions: an error or a
+# non-empty map of activities in [0, 1], never a panic. The seed corpora
+# also run on every plain `go test`.
 fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
@@ -128,3 +134,4 @@ fuzz-equiv:
 	$(GO) test ./internal/atpg/ -run '^$$' -fuzz FuzzPodemEquivalence -fuzztime 10s
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s
 	$(GO) test ./internal/verilog/ -run '^$$' -fuzz FuzzVerilog -fuzztime 10s
+	$(GO) test ./internal/vcd/ -run '^$$' -fuzz FuzzVCD -fuzztime 10s

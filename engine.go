@@ -1,6 +1,7 @@
 package scanpower
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/atpg"
 	"repro/internal/netlist"
 	"repro/internal/probe"
+	"repro/internal/scan"
 )
 
 // Stage names reported through Hooks.
@@ -271,21 +274,41 @@ func newPatternKey(fp uint64, opts atpg.Options) patternKey {
 	return patternKey{fp: fp, opts: opts}
 }
 
+// patternCacheBudget is the byte budget of an Engine's pattern cache
+// (see resultBytes). The twelve Table I pattern sets charge about 0.56 MB
+// together (s9234 246 KB, s5378 141 KB, the mid-size circuits 19–31 KB),
+// so 4 MiB holds all of Table I about seven times over, and a one-pass
+// run never evicts; a daemon serving distinct inline circuits keeps
+// about 150 mid-size entries.
+const patternCacheBudget = 4 << 20
+
 // patternEntry is one cache slot. done is closed when res/err are final.
 type patternEntry struct {
+	key  patternKey
 	done chan struct{}
 	res  *atpg.Result
 	err  error
+	// size is what the settled result is charged; elem is the entry's
+	// place in the recency list, nil while in flight and once evicted.
+	size int64
+	elem *list.Element
 }
 
 // patternCache memoizes ATPG results with in-flight coalescing: when two
 // workers need the same circuit's patterns, one generates and the other
 // waits. Failed runs (including cancellations and panics) are evicted so
 // a later caller with a healthy context retries instead of inheriting the
-// error.
+// error. Settled results are kept within a byte budget, least recently
+// used evicted first; an in-flight entry is never evicted.
 type patternCache struct {
 	mu sync.Mutex
 	m  map[patternKey]*patternEntry
+	// lru holds the settled, successful entries, most recently used at
+	// the front; bytes is their total charge.
+	lru   list.List
+	bytes int64
+	// budget overrides patternCacheBudget when positive.
+	budget int64
 }
 
 // get returns the cached result for key, generating it via gen on a miss.
@@ -301,10 +324,10 @@ func (pc *patternCache) get(ctx context.Context, key patternKey,
 		}
 		e, ok := pc.m[key]
 		if !ok {
-			e = &patternEntry{done: make(chan struct{})}
+			e = &patternEntry{key: key, done: make(chan struct{})}
 			pc.m[key] = e
 			pc.mu.Unlock()
-			pc.fill(key, e, gen)
+			pc.fill(ctx, e, gen)
 			return e.res, false, e.err
 		}
 		pc.mu.Unlock()
@@ -317,6 +340,11 @@ func (pc *patternCache) get(ctx context.Context, key patternKey,
 				}
 				continue
 			}
+			pc.mu.Lock()
+			if e.elem != nil {
+				pc.lru.MoveToFront(e.elem)
+			}
+			pc.mu.Unlock()
 			return e.res, true, nil
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
@@ -330,32 +358,83 @@ func (pc *patternCache) get(ctx context.Context, key patternKey,
 var errGenPanicked = errors.New("scanpower: ATPG generation panicked")
 
 // fill runs gen for the new entry e and settles it: a failure evicts e
-// before done closes. The settling is deferred, so a panic in gen also
-// evicts e and releases its waiters before it propagates, instead of
-// leaving every later caller for key blocked on an entry that never
-// settles.
-func (pc *patternCache) fill(key patternKey, e *patternEntry, gen func() (*atpg.Result, error)) {
+// before done closes, a success is admitted under the budget. The
+// settling is deferred, so a panic in gen also evicts e and releases its
+// waiters before it propagates, instead of leaving every later caller for
+// the key blocked on an entry that never settles. An admission reports
+// its evictions and the change in resident bytes as a CacheFill event on
+// ctx's probe scope.
+func (pc *patternCache) fill(ctx context.Context, e *patternEntry, gen func() (*atpg.Result, error)) {
 	panicked := true
 	defer func() {
 		if panicked {
 			e.err = errGenPanicked
 		}
+		pc.mu.Lock()
 		if e.err != nil {
-			pc.mu.Lock()
-			delete(pc.m, key)
+			delete(pc.m, e.key)
 			pc.mu.Unlock()
+			close(e.done)
+			return
 		}
+		evicted, delta := pc.admitLocked(e)
+		pc.mu.Unlock()
 		close(e.done)
+		probe.From(ctx).Emit(probe.Event{Kind: probe.CacheFill, N: evicted, Bytes: delta})
 	}()
 	e.res, e.err = gen()
 	panicked = false
 }
 
+// admitLocked charges the settled entry e as the most recently used one,
+// then evicts least recently used entries until the cache fits its
+// budget. An entry larger than the whole budget is not kept and evicts
+// nothing; its caller and waiters still get its result. It returns the
+// number of entries evicted and the change in resident bytes. Callers
+// hold pc.mu.
+func (pc *patternCache) admitLocked(e *patternEntry) (evicted int, delta int64) {
+	budget := pc.budget
+	if budget <= 0 {
+		budget = patternCacheBudget
+	}
+	e.size = resultBytes(e.res)
+	if e.size > budget {
+		delete(pc.m, e.key)
+		return 0, 0
+	}
+	e.elem = pc.lru.PushFront(e)
+	pc.bytes += e.size
+	delta = e.size
+	for pc.bytes > budget {
+		old := pc.lru.Remove(pc.lru.Back()).(*patternEntry)
+		old.elem = nil
+		delete(pc.m, old.key)
+		pc.bytes -= old.size
+		delta -= old.size
+		evicted++
+	}
+	return evicted, delta
+}
+
+// resultBytes is what a cached result is charged against the budget: each
+// pattern's PI and State bools plus its slice headers, and the Faults,
+// Detected and DetCounts arrays.
+func resultBytes(r *atpg.Result) int64 {
+	n := len(r.Patterns) * int(unsafe.Sizeof(scan.Pattern{}))
+	for _, p := range r.Patterns {
+		n += len(p.PI) + len(p.State)
+	}
+	n += len(r.Faults)*int(unsafe.Sizeof(atpg.Fault{})) + len(r.Detected) +
+		len(r.DetCounts)*int(unsafe.Sizeof(0))
+	return int64(n)
+}
+
 // Engine runs Table I-style experiments across a bounded worker pool with
 // a shared, memoized ATPG layer: every experiment on the same frozen
 // circuit (Compare, CompareEnhanced, StudyReordering, repeated runs)
-// generates patterns exactly once. The zero value is not usable; use
-// NewEngine. An Engine is safe for concurrent use.
+// generates patterns exactly once while the entry is resident; the cache
+// keeps at most patternCacheBudget bytes of results. The zero value is
+// not usable; use NewEngine. An Engine is safe for concurrent use.
 type Engine struct {
 	// Cfg is the experiment configuration, fixed at construction.
 	Cfg Config

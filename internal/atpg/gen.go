@@ -389,7 +389,10 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 		attempted++
 		var att podemAttempt
 		if sched != nil {
-			att = sched.attempt(r, i, inline)
+			var err error
+			if att, err = sched.attempt(r, i, inline); err != nil {
+				return nil, err
+			}
 		} else {
 			st := inline.run(faults[i])
 			att = podemAttempt{status: st, backtracks: inline.backtracks, assign: inline.assign}
@@ -427,7 +430,9 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	}
 	flush()
 	if sched != nil {
-		sched.shutdown()
+		if err := sched.shutdown(); err != nil {
+			return nil, err
+		}
 	}
 	stopPodem(len(patterns))
 

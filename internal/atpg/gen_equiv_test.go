@@ -2,8 +2,12 @@ package atpg
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +65,28 @@ func TestGenerateWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSchedulerWorkerPanicIsError: panics on the scheduler's worker
+// goroutines, here from OnPodemChunk on every chunk, come back from
+// generation as a *WorkerPanicError holding one of them, instead of
+// killing the process or leaving the committer waiting on a chunk.
+func TestSchedulerWorkerPanicIsError(t *testing.T) {
+	c := loadISCAS(t, "s382")
+	opts := DefaultOptions()
+	opts.Workers = 2
+	var chunks atomic.Int64
+	ob := Observer{OnPodemChunk: func(start, n int, _ time.Duration) {
+		panic(fmt.Sprintf("chunk %d", chunks.Add(1)))
+	}}
+	res, err := GenerateObserved(context.Background(), c, opts, ob)
+	var wp *WorkerPanicError
+	if !errors.As(err, &wp) || res != nil {
+		t.Fatalf("GenerateObserved = %v, %v; want a nil result and a *WorkerPanicError", res, err)
+	}
+	if v, _ := wp.Value.(string); !strings.HasPrefix(v, "chunk ") || len(wp.Stack) == 0 {
+		t.Errorf("kept panic %v with a %d-byte stack, want one of the injected panics with its stack", wp.Value, len(wp.Stack))
 	}
 }
 

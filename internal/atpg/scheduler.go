@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,19 +45,37 @@ const podemSchedulerChunk = 8
 // Memory visibility: a worker publishes a chunk's slots by closing the
 // chunk's done channel; the committer reads them only after receiving
 // from that channel.
+//
+// A panic on a worker (in the search or in OnPodemChunk) does not unwind
+// the process from a goroutine nobody can recover: the worker keeps the
+// first panic as a *WorkerPanicError, stops speculation and still
+// publishes its chunk, and the committer returns that error.
 type podemScheduler struct {
 	env      *podemEnv
 	faults   []Fault
 	residual []int
 	ob       Observer
 
-	next    atomic.Int64
-	stopped atomic.Bool
-	sat     []atomic.Bool // per fault index: quota met, skip speculation
-	slots   []podemAttempt
-	done    []chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
+	next     atomic.Int64
+	stopped  atomic.Bool
+	sat      []atomic.Bool // per fault index: quota met, skip speculation
+	slots    []podemAttempt
+	done     []chan struct{}
+	wg       sync.WaitGroup
+	once     sync.Once
+	panicked atomic.Pointer[WorkerPanicError] // the first worker panic
+}
+
+// WorkerPanicError is the error generation returns when a PODEM
+// scheduler worker panicked: Value is what it panicked with, Stack the
+// worker's stack at the panic.
+type WorkerPanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *WorkerPanicError) Error() string {
+	return fmt.Sprintf("atpg: PODEM worker panicked: %v", e.Value)
 }
 
 func newPodemScheduler(env *podemEnv, faults []Fault, residual []int, workers int, ob Observer) *podemScheduler {
@@ -90,47 +110,78 @@ func (s *podemScheduler) worker() {
 		if ci >= len(s.done) {
 			return
 		}
-		start := ci * podemSchedulerChunk
-		end := start + podemSchedulerChunk
-		if end > len(s.residual) {
-			end = len(s.residual)
+		s.runChunk(p, ci)
+	}
+}
+
+// runChunk searches chunk ci with p and publishes it. A panic is kept
+// (the first one wins) and stops speculation; the chunk is published
+// regardless, and every later chunk is published empty because the stop
+// flag skips its faults, so p is never run again after a panic.
+func (s *podemScheduler) runChunk(p *podem, ci int) {
+	published := false
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked.CompareAndSwap(nil, &WorkerPanicError{Value: r, Stack: debug.Stack()})
+			s.stopped.Store(true)
 		}
-		var t0 time.Time
-		if s.ob.OnPodemChunk != nil {
-			t0 = time.Now()
+		if !published {
+			close(s.done[ci])
 		}
-		for r := start; r < end; r++ {
-			if s.stopped.Load() {
-				break
-			}
-			i := s.residual[r]
-			if s.sat[i].Load() {
-				continue
-			}
-			st := p.run(s.faults[i])
-			att := podemAttempt{status: st, backtracks: p.backtracks, ran: true}
-			if st == podemSuccess {
-				att.assign = append([]logic.Value(nil), p.assign...)
-			}
-			s.slots[r] = att
+	}()
+	start := ci * podemSchedulerChunk
+	end := start + podemSchedulerChunk
+	if end > len(s.residual) {
+		end = len(s.residual)
+	}
+	var t0 time.Time
+	if s.ob.OnPodemChunk != nil {
+		t0 = time.Now()
+	}
+	for r := start; r < end; r++ {
+		if s.stopped.Load() {
+			break
 		}
-		close(s.done[ci])
-		if s.ob.OnPodemChunk != nil {
-			s.ob.OnPodemChunk(start, end-start, time.Since(t0))
+		i := s.residual[r]
+		if s.sat[i].Load() {
+			continue
 		}
+		st := p.run(s.faults[i])
+		att := podemAttempt{status: st, backtracks: p.backtracks, ran: true}
+		if st == podemSuccess {
+			att.assign = append([]logic.Value(nil), p.assign...)
+		}
+		s.slots[r] = att
+	}
+	close(s.done[ci])
+	published = true
+	if s.ob.OnPodemChunk != nil {
+		s.ob.OnPodemChunk(start, end-start, time.Since(t0))
 	}
 }
 
 // attempt returns the PODEM result for residual position r (fault index
 // i), waiting for the owning chunk if a worker is still on it. inline is
 // the committer's own engine, used when the slot was skipped.
-func (s *podemScheduler) attempt(r, i int, inline *podem) podemAttempt {
+// A worker panic seen by then is returned as the error instead.
+func (s *podemScheduler) attempt(r, i int, inline *podem) (podemAttempt, error) {
 	<-s.done[r/podemSchedulerChunk]
+	if err := s.err(); err != nil {
+		return podemAttempt{}, err
+	}
 	if att := s.slots[r]; att.ran {
-		return att
+		return att, nil
 	}
 	st := inline.run(s.faults[i])
-	return podemAttempt{status: st, backtracks: inline.backtracks, assign: inline.assign, ran: true}
+	return podemAttempt{status: st, backtracks: inline.backtracks, assign: inline.assign, ran: true}, nil
+}
+
+// err returns the first worker panic as an error, or nil.
+func (s *podemScheduler) err() error {
+	if p := s.panicked.Load(); p != nil {
+		return p
+	}
+	return nil
 }
 
 // publishSaturation lets workers skip faults the committer has already
@@ -149,9 +200,10 @@ func (s *podemScheduler) publishSaturation(detCount []int, nDetect int) {
 func (s *podemScheduler) stop() { s.stopped.Store(true) }
 
 // shutdown stops speculation and waits for every worker to exit, so no
-// observer callback outlives the generation call. Idempotent; also run
-// via defer on error paths.
-func (s *podemScheduler) shutdown() {
+// observer callback outlives the generation call, then returns the first
+// worker panic, if any. Idempotent; also run via defer on error paths.
+func (s *podemScheduler) shutdown() error {
 	s.stopped.Store(true)
 	s.once.Do(func() { s.wg.Wait() })
+	return s.err()
 }

@@ -187,6 +187,11 @@ func (c *Circuit) mutating() {
 	}
 }
 
+// doublyDriven is Freeze's error for net id having a second driver.
+func (c *Circuit) doublyDriven(id NetID) error {
+	return fmt.Errorf("netlist %s: net %q has more than one driver", c.Name, c.Nets[id].Name)
+}
+
 // Frozen reports whether Freeze has been called since the last mutation.
 func (c *Circuit) Frozen() bool { return c.frozen }
 
@@ -221,11 +226,21 @@ func (c *Circuit) Freeze() error {
 					c.Name, g.Type, gi, len(g.Inputs))
 			}
 		}
+		// AddGateNets points the output at its latest driver, so an
+		// earlier gate on the same net no longer owns it.
+		if c.Nets[g.Output].Driver != GateID(gi) {
+			return c.doublyDriven(g.Output)
+		}
 		for _, in := range g.Inputs {
 			c.Nets[in].Fanout = append(c.Nets[in].Fanout, GateID(gi))
 		}
 	}
+	ffQ := make(map[NetID]bool, len(c.FFs))
 	for fi, ff := range c.FFs {
+		if ffQ[ff.Q] || c.Nets[ff.Q].isPI {
+			return c.doublyDriven(ff.Q)
+		}
+		ffQ[ff.Q] = true
 		c.Nets[ff.D].FanoutFF = append(c.Nets[ff.D].FanoutFF, fi)
 	}
 	// Every net needs a source.

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -189,6 +190,47 @@ func TestDoubleDrivenInputRejected(t *testing.T) {
 	c.AddGate(logic.Not, "a", "b") // drives a PI
 	if err := c.Freeze(); err == nil {
 		t.Fatal("Freeze accepted a gate driving a primary input")
+	}
+}
+
+// TestMultiplyDrivenNetRejected: a net with a second driver (two gates,
+// two flip-flops, or a flip-flop on a primary input) fails Freeze with an
+// error naming the net, where AddGate would otherwise let the later gate
+// silently replace the earlier one.
+func TestMultiplyDrivenNetRejected(t *testing.T) {
+	cases := []struct {
+		name, net string
+		build     func(c *Circuit)
+	}{
+		{"gate-gate", "z", func(c *Circuit) {
+			c.AddFF("ff", "q", "z")
+			c.AddGate(logic.And, "z", "a", "q")
+			c.AddGate(logic.Or, "z", "a", "q")
+		}},
+		{"ff-ff", "q", func(c *Circuit) {
+			c.AddFF("ff1", "q", "z")
+			c.AddFF("ff2", "q", "a")
+			c.AddGate(logic.And, "z", "a", "q")
+		}},
+		{"ff-pi", "a", func(c *Circuit) {
+			c.AddFF("ff", "a", "z")
+			c.AddGate(logic.And, "z", "a", "a")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New("dd")
+			c.AddPI("a")
+			tc.build(c)
+			c.MarkPO("z")
+			err := c.Freeze()
+			if err == nil {
+				t.Fatal("Freeze accepted a net with two drivers")
+			}
+			if want := fmt.Sprintf("net %q has more than one driver", tc.net); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %s", err, want)
+			}
+		})
 	}
 }
 

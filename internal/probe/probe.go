@@ -48,6 +48,9 @@ const (
 	// PodemChunk reports one fault-parallel PODEM chunk of N faults
 	// starting at Start in the residual queue.
 	PodemChunk
+	// CacheFill reports a result admitted to the Engine's pattern cache:
+	// N entries it evicted and Bytes, the change in resident bytes.
+	CacheFill
 	// Closed ends a circuit scope.
 	Closed
 )
@@ -72,6 +75,8 @@ type Event struct {
 	OK bool
 	// CacheHit and Failed qualify StageDone.
 	CacheHit, Failed bool
+	// Bytes is a CacheFill's change in resident bytes.
+	Bytes int64
 }
 
 // Sink receives every event of a scope, with the scope it came from.

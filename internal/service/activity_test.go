@@ -51,6 +51,13 @@ const s27VCD = "$timescale 1ns $end\n" +
 	"#3\n1!\n" +
 	"#4\n0!\n"
 
+// Two .bench sources with a doubly-driven net: z from two gates, q from
+// two flip-flops.
+const (
+	benchTwoGates = "INPUT(a)\nOUTPUT(z)\nq = DFF(z)\nz = AND(a, q)\nz = OR(a, q)\n"
+	benchTwoFFs   = "INPUT(a)\nOUTPUT(z)\nq = DFF(z)\nz = AND(a, q)\nq = DFF(a)\n"
+)
+
 // TestSubmitUnionValidationEnvelopes drives every invalid source-union and
 // activity combination through POST /v1/jobs and checks the status and
 // error-envelope code of each.
@@ -88,6 +95,15 @@ func TestSubmitUnionValidationEnvelopes(t *testing.T) {
 			http.StatusUnprocessableEntity, "bad_verilog"},
 		{"bare module statement", map[string]any{
 			"source": map[string]any{"verilog": "module"}},
+			http.StatusUnprocessableEntity, "bad_verilog"},
+		{"bench net driven by two gates", map[string]any{
+			"source": map[string]any{"bench": benchTwoGates}},
+			http.StatusUnprocessableEntity, "bad_bench"},
+		{"bench net driven by two flip-flops", map[string]any{
+			"source": map[string]any{"bench": benchTwoFFs}},
+			http.StatusUnprocessableEntity, "bad_bench"},
+		{"verilog net driven by two gates", map[string]any{
+			"source": map[string]any{"verilog": "module m (a, y);\n input a;\n output y;\n not u1 (y, a);\n not u2 (y, a);\nendmodule\n"}},
 			http.StatusUnprocessableEntity, "bad_verilog"},
 		{"empty activity", map[string]any{
 			"source": map[string]any{"circuit": "s344"}, "activity": map[string]any{}},

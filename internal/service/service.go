@@ -39,6 +39,7 @@ import (
 
 	"repro"
 	"repro/api"
+	"repro/internal/atpg"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
 	"repro/internal/power"
@@ -186,7 +187,9 @@ type Job struct {
 	Circuit string
 	Timeout time.Duration
 
-	key      jobKey
+	key jobKey
+	// circ and activity are the run's input; finishLocked drops both, so
+	// a terminal job in the table never holds a netlist.
 	circ     *netlist.Circuit
 	activity *power.ActivityProfile // nil = no activity annotation
 
@@ -443,7 +446,7 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration
 			return j, true, nil
 		}
 		if hit {
-			if j, ok := s.storedJobLocked(c, timeout, key, wire, tc); ok {
+			if j, ok := s.storedJobLocked(c.Name, timeout, key, wire, tc); ok {
 				s.storeHits.Inc()
 				s.log.Info("job served from store",
 					"job_id", j.ID, "trace_id", j.traceID, "circuit", j.Circuit)
@@ -523,7 +526,7 @@ func (s *Service) attachTraceLocked(j *Job, tc telemetry.TraceContext) {
 // ok=false if the stored bytes do not decode as a Comparison — the
 // checksum guards integrity, not decodability, so this is a degenerate
 // case treated as a miss.
-func (s *Service) storedJobLocked(c *netlist.Circuit, timeout time.Duration, key jobKey, wire []byte, tc telemetry.TraceContext) (*Job, bool) {
+func (s *Service) storedJobLocked(circuit string, timeout time.Duration, key jobKey, wire []byte, tc telemetry.TraceContext) (*Job, bool) {
 	var cmp scanpower.Comparison
 	if err := json.Unmarshal(wire, &cmp); err != nil {
 		return nil, false
@@ -532,10 +535,9 @@ func (s *Service) storedJobLocked(c *netlist.Circuit, timeout time.Duration, key
 	now := time.Now()
 	j := &Job{
 		ID:       s.idPrefix + strconv.FormatInt(s.seq, 10),
-		Circuit:  c.Name,
+		Circuit:  circuit,
 		Timeout:  timeout,
 		key:      key,
-		circ:     c,
 		state:    StateDone,
 		result:   &cmp,
 		wire:     wire,
@@ -719,12 +721,12 @@ func (s *Service) runJob(j *Job) {
 	j.runSpan = j.rootSpan.Start("run", nil)
 	s.inflight++
 	s.inflightGauge.Set(float64(s.inflight))
+	c, cfg := j.circ, s.opts.Cfg
+	cfg.Activity = j.activity
 	s.mu.Unlock()
 	s.log.Debug("job running", "job_id", j.ID, "trace_id", j.traceID, "circuit", j.Circuit)
 
-	cfg := s.opts.Cfg
-	cfg.Activity = j.activity
-	cmp, err := s.runRecovered(j, cfg)
+	cmp, err := s.runRecovered(j, c, cfg)
 
 	// Marshal the result once: the same bytes become the HTTP response
 	// body and the persisted store entry, so a later warm-start serve is
@@ -760,16 +762,25 @@ func (s *Service) runJob(j *Job) {
 
 // runRecovered calls the Runner behind a panic boundary: a panic fails
 // this job with an internal error, its stack goes to the log, and the
-// daemon and its worker live on.
-func (s *Service) runRecovered(j *Job, cfg scanpower.Config) (cmp *scanpower.Comparison, err error) {
+// daemon and its worker live on. A panic on an ATPG scheduler worker,
+// which generation returns as a *atpg.WorkerPanicError, fails the job the
+// same way.
+func (s *Service) runRecovered(j *Job, c *netlist.Circuit, cfg scanpower.Config) (cmp *scanpower.Comparison, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		r, stack := recover(), []byte(nil)
+		var wp *atpg.WorkerPanicError
+		if r != nil {
+			stack = debug.Stack()
+		} else if errors.As(err, &wp) {
+			r, stack = wp.Value, wp.Stack
+		}
+		if r != nil {
 			s.log.Error("job panicked", "job_id", j.ID, "trace_id", j.traceID,
-				"circuit", j.Circuit, "panic", r, "stack", string(debug.Stack()))
+				"circuit", j.Circuit, "panic", r, "stack", string(stack))
 			cmp, err = nil, fmt.Errorf("internal error: %v", r)
 		}
 	}()
-	return s.run(j.ctx, j.circ, cfg)
+	return s.run(j.ctx, c, cfg)
 }
 
 // failureState maps a job error to canceled/failed: explicit cancellation
@@ -785,7 +796,9 @@ func failureState(err error) JobState {
 // finishLocked settles a job into a terminal state and closes its trace
 // spans — the queue span may still be open (canceled while waiting), so
 // every span is ended here and End's idempotence keeps the segment
-// balanced no matter which path settled first. Callers hold s.mu.
+// balanced no matter which path settled first. The job drops its circuit
+// and activity profile: a retained terminal job keeps only what its
+// responses read. Callers hold s.mu.
 func (s *Service) finishLocked(j *Job, state JobState, cmp *scanpower.Comparison, err error) {
 	if j.state.Terminal() {
 		return
@@ -794,6 +807,7 @@ func (s *Service) finishLocked(j *Job, state JobState, cmp *scanpower.Comparison
 	j.result = cmp
 	j.err = err
 	j.finished = time.Now()
+	j.circ, j.activity = nil, nil
 	if state != StateDone && s.byKey[j.key] == j {
 		// Failed and canceled jobs leave the coalescing map so an
 		// identical retry re-runs instead of inheriting the failure; done

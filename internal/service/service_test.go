@@ -682,3 +682,44 @@ func TestEnginePanicFailsJobOnce(t *testing.T) {
 		t.Fatalf("resubmit after the panic settled as %v (%v), want done", job["state"], job["error"])
 	}
 }
+
+// TestEngineWorkerPanicFailsJobOnce is TestEnginePanicFailsJobOnce with
+// the panic on an ATPG scheduler worker goroutine, which the job's own
+// panic boundary cannot recover: generation returns the panic as an
+// error, the job fails with an internal error, and a resubmit of the same
+// circuit regenerates and finishes.
+func TestEngineWorkerPanicFailsJobOnce(t *testing.T) {
+	cfg := scanpower.DefaultConfig()
+	cfg.ATPG.Workers = 2
+	var logs lockedBuffer
+	svc, srv := newTestServer(t, Options{Workers: 1, QueueSize: 2, Cfg: cfg,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	var once sync.Once
+	// Set before the first submit, so no worker is reading the Hooks.
+	svc.Engine().Hooks.OnPodemChunk = func(string, int, int, time.Duration) {
+		once.Do(func() { panic("injected worker panic") })
+	}
+
+	submit := func() string {
+		t.Helper()
+		code, _, body := postJob(t, srv.URL, map[string]any{"circuit": "s344"})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: status %d (%v)", code, body)
+		}
+		return body["id"].(string)
+	}
+	terminal := func(st string) bool { return st != "queued" && st != "running" }
+	job := pollState(t, srv.URL, submit(), terminal)
+	if job["state"] != "failed" {
+		t.Fatalf("job with a panicking ATPG worker settled as %v, want failed", job["state"])
+	}
+	if msg, _ := job["error"].(string); msg != "internal error: injected worker panic" {
+		t.Errorf("job error = %q, want an internal error naming the panic", msg)
+	}
+	if l := logs.String(); !strings.Contains(l, `msg="job panicked"`) || !strings.Contains(l, "runtime/debug.Stack") {
+		t.Errorf("log lacks the panic line with the worker's stack:\n%s", l)
+	}
+	if job = pollState(t, srv.URL, submit(), terminal); job["state"] != "done" {
+		t.Fatalf("resubmit after the panic settled as %v (%v), want done", job["state"], job["error"])
+	}
+}

@@ -9,10 +9,9 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestReadActivityHandwritten checks toggle counting on a minimal
-// hand-written dump: 5 timestamps = 4 steps.
-func TestReadActivityHandwritten(t *testing.T) {
-	src := `$date today $end
+// handwrittenVCD is a minimal hand-written dump: 5 timestamps = 4 steps,
+// a toggling 3 times, b never, and a wide vector.
+const handwrittenVCD = `$date today $end
 $timescale 1ns $end
 $scope module top $end
 $var wire 1 ! a $end
@@ -34,7 +33,44 @@ b1010 #
 b0101 #
 #4
 `
-	act, err := ReadActivity(strings.NewReader(src))
+
+// unknownsVCD toggles a through x and z, which break toggle chains.
+const unknownsVCD = `$var wire 1 ! a $end
+$enddefinitions $end
+#0
+x!
+#1
+1!
+#2
+z!
+#3
+0!
+#4
+1!
+`
+
+// malformedVCDs walks the malformed-input space: ReadActivity rejects
+// each one.
+var malformedVCDs = []struct {
+	name string
+	src  string
+}{
+	{"empty", ""},
+	{"no signals", "$enddefinitions $end\n#0\n#1\n"},
+	{"one timestamp", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n0!\n"},
+	{"undeclared id", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n0?\n#1\n"},
+	{"bad var", "$var wire\n$enddefinitions $end\n#0\n#1\n"},
+	{"bad width", "$var wire zero ! a $end\n$enddefinitions $end\n#0\n#1\n"},
+	{"dup id", "$var wire 1 ! a $end\n$var wire 1 ! b $end\n$enddefinitions $end\n#0\n#1\n"},
+	{"garbage line", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\nhello\n#1\n"},
+	{"bad timestamp", "$var wire 1 ! a $end\n$enddefinitions $end\n#zero\n#1\n"},
+	{"only wide vectors", "$var wire 4 ! bus $end\n$enddefinitions $end\n#0\n#1\n"},
+}
+
+// TestReadActivityHandwritten checks toggle counting on a minimal
+// hand-written dump: 5 timestamps = 4 steps.
+func TestReadActivityHandwritten(t *testing.T) {
+	act, err := ReadActivity(strings.NewReader(handwrittenVCD))
 	if err != nil {
 		t.Fatalf("ReadActivity: %v", err)
 	}
@@ -52,20 +88,7 @@ b0101 #
 // TestReadActivityUnknowns checks that x/z break toggle chains rather than
 // counting as transitions.
 func TestReadActivityUnknowns(t *testing.T) {
-	src := `$var wire 1 ! a $end
-$enddefinitions $end
-#0
-x!
-#1
-1!
-#2
-z!
-#3
-0!
-#4
-1!
-`
-	act, err := ReadActivity(strings.NewReader(src))
+	act, err := ReadActivity(strings.NewReader(unknownsVCD))
 	if err != nil {
 		t.Fatalf("ReadActivity: %v", err)
 	}
@@ -77,31 +100,17 @@ z!
 
 // TestReadActivityErrors walks the malformed-input space.
 func TestReadActivityErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"empty", ""},
-		{"no signals", "$enddefinitions $end\n#0\n#1\n"},
-		{"one timestamp", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n0!\n"},
-		{"undeclared id", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n0?\n#1\n"},
-		{"bad var", "$var wire\n$enddefinitions $end\n#0\n#1\n"},
-		{"bad width", "$var wire zero ! a $end\n$enddefinitions $end\n#0\n#1\n"},
-		{"dup id", "$var wire 1 ! a $end\n$var wire 1 ! b $end\n$enddefinitions $end\n#0\n#1\n"},
-		{"garbage line", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\nhello\n#1\n"},
-		{"bad timestamp", "$var wire 1 ! a $end\n$enddefinitions $end\n#zero\n#1\n"},
-		{"only wide vectors", "$var wire 4 ! bus $end\n$enddefinitions $end\n#0\n#1\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedVCDs {
 		if _, err := ReadActivity(strings.NewReader(tc.src)); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}
 }
 
-// TestReadActivityRoundTrip feeds a Dumper-produced dump back through the
-// reader and checks the derived activities match the state sequence.
-func TestReadActivityRoundTrip(t *testing.T) {
+// nandDump is what Dumper writes for a NAND of inputs a and b over four
+// ticks: a toggles every cycle, b stays 0, y = !(a&&b) stays 1.
+func nandDump(tb testing.TB) []byte {
+	tb.Helper()
 	c := netlist.New("t")
 	c.AddPI("a")
 	c.AddPI("b")
@@ -112,26 +121,30 @@ func TestReadActivityRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	d, err := NewDumper(&buf, c, nil)
 	if err != nil {
-		t.Fatalf("NewDumper: %v", err)
+		tb.Fatalf("NewDumper: %v", err)
 	}
 	na, _ := c.NetByName("a")
 	nb, _ := c.NetByName("b")
 	ny, _ := c.NetByName("y")
 	state := make([]bool, c.NumNets())
-	// a toggles every cycle, b stays 0, y = !(a&&b) stays 1.
 	for i := 0; i < 4; i++ {
 		state[na] = i%2 == 1
 		state[nb] = false
 		state[ny] = true
 		if err := d.Tick(state); err != nil {
-			t.Fatalf("Tick: %v", err)
+			tb.Fatalf("Tick: %v", err)
 		}
 	}
 	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+		tb.Fatalf("Close: %v", err)
 	}
+	return buf.Bytes()
+}
 
-	act, err := ReadActivity(&buf)
+// TestReadActivityRoundTrip feeds a Dumper-produced dump back through the
+// reader and checks the derived activities match the state sequence.
+func TestReadActivityRoundTrip(t *testing.T) {
+	act, err := ReadActivity(bytes.NewReader(nandDump(t)))
 	if err != nil {
 		t.Fatalf("ReadActivity: %v", err)
 	}

@@ -17,6 +17,8 @@ const (
 	MetricSubStageSeconds  = "scanpower_substage_seconds" // histogram{stage,sub}
 	MetricCacheHits        = "scanpower_atpg_cache_hits_total"
 	MetricCacheMisses      = "scanpower_atpg_cache_misses_total"
+	MetricCacheEvictions   = "scanpower_atpg_cache_evictions_total"
+	MetricCacheBytes       = "scanpower_atpg_cache_bytes"   // gauge
 	MetricPodemFaults      = "scanpower_podem_faults_total" // counter{outcome}
 	MetricPodemBacktracks  = "scanpower_podem_backtracks"   // histogram
 	MetricJustify          = "scanpower_justify_total"      // counter{result}
@@ -63,6 +65,8 @@ type Recorder struct {
 
 	// Pre-resolved hot-path handles (single atomic op per event).
 	cacheHits, cacheMisses *telemetry.Counter
+	cacheEvictions         *telemetry.Counter
+	cacheBytes             *telemetry.Gauge
 	podemByOutcome         map[string]*telemetry.Counter
 	podemBacktracks        *telemetry.Histogram
 	justifyOK, justifyFail *telemetry.Counter
@@ -97,8 +101,10 @@ func NewRecorder(reg *telemetry.Registry, tw *telemetry.TraceWriter) *Recorder {
 		tw:    tw,
 		start: time.Now(),
 
-		cacheHits:   reg.Counter(MetricCacheHits),
-		cacheMisses: reg.Counter(MetricCacheMisses),
+		cacheHits:      reg.Counter(MetricCacheHits),
+		cacheMisses:    reg.Counter(MetricCacheMisses),
+		cacheEvictions: reg.Counter(MetricCacheEvictions),
+		cacheBytes:     reg.Gauge(MetricCacheBytes),
 		podemByOutcome: map[string]*telemetry.Counter{
 			"detected":   reg.Counter(MetricPodemFaults + `{outcome="detected"}`),
 			"untestable": reg.Counter(MetricPodemFaults + `{outcome="untestable"}`),
@@ -167,6 +173,10 @@ func (r *Recorder) emit(sc *probe.Scope, ev probe.Event) {
 		return
 	case probe.Pattern:
 		r.patterns.Inc()
+		return
+	case probe.CacheFill:
+		r.cacheEvictions.Add(int64(ev.N))
+		r.cacheBytes.Add(float64(ev.Bytes))
 		return
 	case probe.SubStage:
 		r.reg.Histogram(fmt.Sprintf(MetricSubStageSeconds+`{stage=%q,sub=%q}`, sc.Stage, ev.Name), nil).
