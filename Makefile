@@ -56,7 +56,9 @@ manifest-smoke:
 # workers and the Recorder that receive their probe events. The
 # byte-bounded pattern cache (PatternCache: budget, recency, in-flight
 # entries, panics) and the terminal jobs that drop their netlists
-# (DropsCircuit) run here too.
+# (DropsCircuit) run here too, and so do the named submits that key on
+# the memoized fingerprint table and generate their circuit only on the
+# worker that runs them (NamedSubmit, matched by Submit).
 telemetry-race:
 	$(GO) test -race -run 'Telemetry|Recorder|Trace|Registry|Packed|StageHooks|PatternCache|Submit|Queue|Coalesc|Drain|Deadline|Disconnect|Cancel|MCPacked|MCBatch|RunnerPanicFailsJob|EnginePanicFailsJobOnce|WorkerPanic|DropsCircuit' . ./internal/telemetry/ ./internal/power/ ./internal/service/ ./internal/obs/ ./internal/core/ ./internal/probe/
 
@@ -123,8 +125,12 @@ obs-smoke:
 # feeds arbitrary text to the Verilog reader the daemon runs on inline
 # submissions: an error or a frozen circuit, never a panic. FuzzVCD does
 # the same for the VCD reader behind activity submissions: an error or a
-# non-empty map of activities in [0, 1], never a panic. The seed corpora
-# also run on every plain `go test`.
+# non-empty map of activities in [0, 1], never a panic. FuzzSubmit sends
+# arbitrary POST /v1/jobs bodies through validation, source resolution
+# (the named-submit table, the .bench and Verilog parsers), the activity
+# block and a deadline-bounded Engine run, outside the job's panic
+# boundary: an error or a result, never a panic. The seed corpora also
+# run on every plain `go test`.
 fuzz-equiv:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWideEquivalence -fuzztime 10s
 	$(GO) test ./internal/power/ -run '^$$' -fuzz FuzzMeasureScanPackedEquivalence -fuzztime 10s
@@ -135,3 +141,4 @@ fuzz-equiv:
 	$(GO) test ./internal/iscas/ -run '^$$' -fuzz FuzzGenerateEquivalence -fuzztime 10s
 	$(GO) test ./internal/verilog/ -run '^$$' -fuzz FuzzVerilog -fuzztime 10s
 	$(GO) test ./internal/vcd/ -run '^$$' -fuzz FuzzVCD -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSubmit -fuzztime 10s

@@ -202,7 +202,12 @@ func (c *Circuit) Freeze() error {
 	if c.frozen {
 		return nil
 	}
-	// Fanout lists.
+	// Fanout lists, rebuilt from empty: a Freeze that failed part-way
+	// leaves partial lists behind, and a retry must not append to them.
+	for i := range c.Nets {
+		c.Nets[i].Fanout = nil
+		c.Nets[i].FanoutFF = nil
+	}
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
 		if len(g.Inputs) == 0 {

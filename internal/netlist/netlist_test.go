@@ -136,6 +136,40 @@ func TestUndrivenNetRejected(t *testing.T) {
 	}
 }
 
+// TestFreezeRetryRebuildsFanouts: a Freeze that fails part-way, a fix-up
+// mutation and a second Freeze leave every fanout list exact, with no
+// entry left over from the failed attempt.
+func TestFreezeRetryRebuildsFanouts(t *testing.T) {
+	c := New("retry")
+	c.AddPI("a")
+	c.AddFF("ff", "q", "out")
+	c.AddGate(logic.Nand, "out", "a", "floating")
+	c.MarkPO("out")
+	if err := c.Freeze(); err == nil {
+		t.Fatal("Freeze accepted an undriven net")
+	}
+	c.AddPI("floating")
+	if err := c.Freeze(); err != nil {
+		t.Fatalf("Freeze after the fix-up: %v", err)
+	}
+	for _, name := range []string{"a", "floating"} {
+		id, _ := c.NetByName(name)
+		if got := c.Nets[id].Fanout; len(got) != 1 || got[0] != 0 {
+			t.Errorf("fanout(%s) = %v, want [0]", name, got)
+		}
+	}
+	for _, name := range []string{"out", "q"} {
+		id, _ := c.NetByName(name)
+		if got := c.Nets[id].Fanout; len(got) != 0 {
+			t.Errorf("fanout(%s) = %v, want none", name, got)
+		}
+	}
+	id, _ := c.NetByName("out")
+	if got := c.Nets[id].FanoutFF; len(got) != 1 || got[0] != 0 {
+		t.Errorf("FF fanout(out) = %v, want [0]", got)
+	}
+}
+
 func TestCombinationalCycleRejected(t *testing.T) {
 	c := New("cyc")
 	c.AddPI("a")

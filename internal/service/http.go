@@ -128,56 +128,51 @@ func (s *Service) jobJSON(j *Job, coalesced bool) api.JobDoc {
 	return resp
 }
 
-// resolveCircuit turns a Validate-clean request into a library-mapped
-// circuit: built-in names via Benchmark, inline .bench via ParseBench,
-// inline Verilog via verilog.ParseString, each followed by Prepare when
-// the elaborated netlist is not already library-mapped.
-func resolveCircuit(req *submitRequest) (*netlist.Circuit, int, string, error) {
-	kind, payload, name := req.Resolved()
-	switch kind {
-	case api.SourceCircuit:
-		c, err := scanpower.Benchmark(payload)
-		if err != nil {
-			return nil, http.StatusNotFound, "unknown_benchmark", err
-		}
-		return c, 0, "", nil
-	case api.SourceVerilog:
-		c, err := verilog.ParseString(payload, name)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, api.CodeBadVerilog, err
-		}
-		if !techmap.IsMapped(c, 4) {
-			if c, err = scanpower.Prepare(c); err != nil {
-				return nil, http.StatusUnprocessableEntity, api.CodeBadVerilog, err
-			}
-		}
-		return c, 0, "", nil
-	default: // api.SourceBench
-		c, err := scanpower.ParseBench(payload, name)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, "bad_bench", err
-		}
-		if !techmap.IsMapped(c, 4) {
-			if c, err = scanpower.Prepare(c); err != nil {
-				return nil, http.StatusUnprocessableEntity, "bad_bench", err
-			}
-		}
-		return c, 0, "", nil
-	}
+// source is a resolved submit: the job key's fingerprint, the job's
+// circuit name and the primary-input names an activity block binds to.
+// circ is the library-mapped netlist of an inline source, and nil for a
+// built-in name, whose circuit runJob generates on the worker.
+type source struct {
+	fp     uint64
+	name   string
+	inputs []string
+	circ   *netlist.Circuit
 }
 
-// resolveActivity turns the request's activity block into the engine's
-// profile form against the resolved circuit's primary inputs; nil in,
-// nil out.
-func resolveActivity(req *submitRequest, c *netlist.Circuit) (*power.ActivityProfile, *api.Error) {
-	if req.Activity == nil {
-		return nil, nil
+// resolveSource turns a Validate-clean request into its source: built-in
+// names from the named-submit table, inline .bench via ParseBench, inline
+// Verilog via verilog.ParseString, each parsed netlist followed by Prepare
+// when it is not already library-mapped.
+func resolveSource(req *submitRequest) (source, *api.Error) {
+	kind, payload, name := req.Resolved()
+	if kind == api.SourceCircuit {
+		k, err := lookupNamed(payload)
+		if err != nil {
+			return source{}, &api.Error{Status: http.StatusNotFound, Code: "unknown_benchmark", Message: err.Error()}
+		}
+		return source{fp: k.fp, name: k.name, inputs: k.inputs}, nil
 	}
+	parse, code := scanpower.ParseBench, "bad_bench"
+	if kind == api.SourceVerilog {
+		parse, code = verilog.ParseString, api.CodeBadVerilog
+	}
+	c, err := parse(payload, name)
+	if err == nil && !techmap.IsMapped(c, 4) {
+		c, err = scanpower.Prepare(c)
+	}
+	if err != nil {
+		return source{}, &api.Error{Status: http.StatusUnprocessableEntity, Code: code, Message: err.Error()}
+	}
+	return source{fp: c.Fingerprint(), name: c.Name, inputs: piNames(c), circ: c}, nil
+}
+
+// piNames lists the names of c's primary inputs in declaration order.
+func piNames(c *netlist.Circuit) []string {
 	names := make([]string, len(c.PIs))
 	for i, pi := range c.PIs {
 		names[i] = c.Nets[pi].Name
 	}
-	return req.Activity.Profile(names)
+	return names
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -193,15 +188,18 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, verr.Status, verr.Code, verr.Message)
 		return
 	}
-	c, status, code, err := resolveCircuit(&req)
-	if err != nil {
-		writeError(w, status, code, err.Error())
+	src, serr := resolveSource(&req)
+	if serr != nil {
+		writeError(w, serr.Status, serr.Code, serr.Message)
 		return
 	}
-	prof, aerr := resolveActivity(&req, c)
-	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, aerr.Message)
-		return
+	var prof *power.ActivityProfile
+	if req.Activity != nil {
+		var aerr *api.Error
+		if prof, aerr = req.Activity.Profile(src.inputs); aerr != nil {
+			writeError(w, aerr.Status, aerr.Code, aerr.Message)
+			return
+		}
 	}
 
 	// Adopt an incoming trace context if the header parses; otherwise a
@@ -212,12 +210,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// cost correlation but never a forwarding loop.
 	tc, _ := telemetry.ParseTraceparent(r.Header.Get(TraceHeader))
 	if s.cluster != nil && r.Header.Get(ForwardedHeader) == "" {
-		if s.forwardSubmit(w, r, c.Fingerprint(), &req, &tc) {
+		if s.forwardSubmit(w, r, src.fp, &req, &tc) {
 			return
 		}
 	}
 
-	j, coalesced, err := s.SubmitActivityTraced(c, time.Duration(req.TimeoutMS)*time.Millisecond, prof, tc)
+	j, coalesced, err := s.submit(src.fp, src.name, src.circ, time.Duration(req.TimeoutMS)*time.Millisecond, prof, tc)
 	if err != nil {
 		var serr *SubmitError
 		if errors.As(err, &serr) {
@@ -251,7 +249,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	status = http.StatusAccepted
+	status := http.StatusAccepted
 	if coalesced {
 		status = http.StatusOK
 	}

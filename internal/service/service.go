@@ -65,6 +65,9 @@ const (
 	MetricStoreHits   = "scanpower_service_store_hits_total"
 	MetricStoreMisses = "scanpower_service_store_misses_total"
 	MetricStorePuts   = "scanpower_service_store_puts_total"
+	// Panics recovered at the job boundary: in the Runner, in generating a
+	// built-in circuit, or on an ATPG scheduler worker. Each fails one job.
+	MetricJobPanics = "scanpower_service_job_panics_total"
 	// Cluster forwarding: submits shipped to their owning peer, and
 	// failovers past an unhealthy peer to the next ring replica.
 	MetricForwarded        = "scanpower_service_forwarded_total"
@@ -189,7 +192,8 @@ type Job struct {
 
 	key jobKey
 	// circ and activity are the run's input; finishLocked drops both, so
-	// a terminal job in the table never holds a netlist.
+	// a terminal job in the table never holds a netlist. circ is nil for a
+	// built-in circuit, which runJob generates by name on the worker.
 	circ     *netlist.Circuit
 	activity *power.ActivityProfile // nil = no activity annotation
 
@@ -277,6 +281,7 @@ type Service struct {
 	storeHits     *telemetry.Counter
 	storeMisses   *telemetry.Counter
 	storePuts     *telemetry.Counter
+	panics        *telemetry.Counter
 	traceSegments *telemetry.Gauge
 }
 
@@ -333,6 +338,7 @@ func New(opts Options) *Service {
 		storeHits:     opts.Registry.Counter(MetricStoreHits),
 		storeMisses:   opts.Registry.Counter(MetricStoreMisses),
 		storePuts:     opts.Registry.Counter(MetricStorePuts),
+		panics:        opts.Registry.Counter(MetricJobPanics),
 		traceSegments: opts.Registry.Gauge(MetricTraceSegments),
 	}
 	s.idPrefix = "job-"
@@ -413,13 +419,22 @@ func (s *Service) SubmitTraced(c *netlist.Circuit, timeout time.Duration, tc tel
 // annotated ones; nil behaves exactly like SubmitTraced, keying and
 // storing under the pre-activity key.
 func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
+	return s.submit(c.Fingerprint(), c.Name, c, timeout, prof, tc)
+}
+
+// submit is the admission path behind every Submit variant and POST
+// /v1/jobs. fp is the circuit's fingerprint and name its display name;
+// circ is the run's input, nil for a built-in circuit that runJob
+// generates by name. Coalescing and the store read need only fp, so a
+// named submit answered from either holds no circuit at all.
+func (s *Service) submit(fp uint64, name string, circ *netlist.Circuit, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
 	if timeout <= 0 {
 		timeout = s.opts.DefaultTimeout
 	}
 	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
 		timeout = s.opts.MaxTimeout
 	}
-	key := jobKey{fp: c.Fingerprint(), timeoutMS: timeout.Milliseconds(), activity: prof.Hash()}
+	key := jobKey{fp: fp, timeoutMS: timeout.Milliseconds(), activity: prof.Hash()}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -446,7 +461,7 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration
 			return j, true, nil
 		}
 		if hit {
-			if j, ok := s.storedJobLocked(c.Name, timeout, key, wire, tc); ok {
+			if j, ok := s.storedJobLocked(name, timeout, key, wire, tc); ok {
 				s.storeHits.Inc()
 				s.log.Info("job served from store",
 					"job_id", j.ID, "trace_id", j.traceID, "circuit", j.Circuit)
@@ -468,10 +483,10 @@ func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration
 	}
 	j := &Job{
 		ID:       s.idPrefix + strconv.FormatInt(s.seq, 10),
-		Circuit:  c.Name,
+		Circuit:  name,
 		Timeout:  timeout,
 		key:      key,
-		circ:     c,
+		circ:     circ,
 		activity: prof,
 		state:    StateQueued,
 		created:  time.Now(),
@@ -760,11 +775,12 @@ func (s *Service) runJob(j *Job) {
 	s.rec.FinishCircuit(j.Circuit)
 }
 
-// runRecovered calls the Runner behind a panic boundary: a panic fails
-// this job with an internal error, its stack goes to the log, and the
-// daemon and its worker live on. A panic on an ATPG scheduler worker,
-// which generation returns as a *atpg.WorkerPanicError, fails the job the
-// same way.
+// runRecovered runs the job behind a panic boundary: it generates a
+// built-in circuit (c == nil) by name, then calls the Runner. A panic in
+// either fails this job with an internal error, its stack goes to the log,
+// and the daemon and its worker live on. A panic on an ATPG scheduler
+// worker, which generation returns as a *atpg.WorkerPanicError, fails the
+// job the same way. Each one counts in MetricJobPanics.
 func (s *Service) runRecovered(j *Job, c *netlist.Circuit, cfg scanpower.Config) (cmp *scanpower.Comparison, err error) {
 	defer func() {
 		r, stack := recover(), []byte(nil)
@@ -775,11 +791,17 @@ func (s *Service) runRecovered(j *Job, c *netlist.Circuit, cfg scanpower.Config)
 			r, stack = wp.Value, wp.Stack
 		}
 		if r != nil {
+			s.panics.Inc()
 			s.log.Error("job panicked", "job_id", j.ID, "trace_id", j.traceID,
 				"circuit", j.Circuit, "panic", r, "stack", string(stack))
 			cmp, err = nil, fmt.Errorf("internal error: %v", r)
 		}
 	}()
+	if c == nil {
+		if c, err = generateBenchmark(j.Circuit); err != nil {
+			return nil, err
+		}
+	}
 	return s.run(j.ctx, c, cfg)
 }
 

@@ -598,7 +598,7 @@ func (b *lockedBuffer) String() string {
 func TestRunnerPanicFailsJob(t *testing.T) {
 	var logs lockedBuffer
 	first := true
-	_, srv := newTestServer(t, Options{
+	svc, srv := newTestServer(t, Options{
 		Workers: 1, QueueSize: 2,
 		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 		Runner: func(ctx context.Context, c *netlist.Circuit, cfg scanpower.Config) (*scanpower.Comparison, error) {
@@ -645,6 +645,9 @@ func TestRunnerPanicFailsJob(t *testing.T) {
 		t.Fatalf("second submit: status %d (%v)", code, body)
 	}
 	pollState(t, srv.URL, body["id"].(string), func(st string) bool { return st == "done" })
+	if got := svc.reg.Counter(MetricJobPanics).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricJobPanics, got)
+	}
 }
 
 // TestEnginePanicFailsJobOnce runs a panic inside ATPG generation through
@@ -721,5 +724,8 @@ func TestEngineWorkerPanicFailsJobOnce(t *testing.T) {
 	}
 	if job = pollState(t, srv.URL, submit(), terminal); job["state"] != "done" {
 		t.Fatalf("resubmit after the panic settled as %v (%v), want done", job["state"], job["error"])
+	}
+	if got := svc.reg.Counter(MetricJobPanics).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricJobPanics, got)
 	}
 }

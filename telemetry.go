@@ -237,9 +237,11 @@ func (r *Recorder) stageDone(sc *probe.Scope, ev probe.Event) {
 	r.reg.Histogram(fmt.Sprintf(MetricStageSeconds+`{stage=%q}`, sc.Stage), nil).
 		Observe(ev.Elapsed.Seconds())
 	if sc.Stage == StageATPG {
+		// A miss is a generation that produced patterns, as
+		// Engine.CacheStats counts it: a failed or cancelled one is not.
 		if ev.CacheHit {
 			r.cacheHits.Inc()
-		} else {
+		} else if !ev.Failed {
 			r.cacheMisses.Inc()
 		}
 	}

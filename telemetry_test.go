@@ -263,6 +263,38 @@ func TestRecorderCircuitError(t *testing.T) {
 	}
 }
 
+// TestRecorderCacheMissesSkipFailedGenerations: a generation cancelled
+// mid-stage is not a cache miss, so the registry counter agrees with
+// Engine.CacheStats after a cancelled Compare and a good one.
+func TestRecorderCacheMissesSkipFailedGenerations(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rec := NewRecorder(reg, nil)
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	eng := NewEngine(DefaultConfig())
+	eng.Hooks = MergeHooks(rec.Hooks(), Hooks{OnStageStart: func(_, stage string) {
+		if stage == StageATPG {
+			cancel()
+		}
+	}})
+	if _, err := eng.Compare(ctx, c); err == nil {
+		t.Fatal("Compare under a context cancelled in ATPG succeeded")
+	}
+	if _, err := eng.Compare(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
+	if _, misses := eng.CacheStats(); misses != 1 {
+		t.Errorf("CacheStats misses = %d, want 1", misses)
+	}
+	if got := reg.Counter(MetricCacheMisses).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricCacheMisses, got)
+	}
+}
+
 // TestMergeHooksAllFire: merged hook sets must both observe every event
 // class, in argument order.
 func TestMergeHooksAllFire(t *testing.T) {
