@@ -108,7 +108,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	points, err := scanpower.StudyTechScaling(c641, cfg, 100e6)
+	points, err := eng.StudyTechScaling(ctx, c641, 100e6)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,7 +121,7 @@ func main() {
 	must(ts.Markdown(w))
 	fmt.Fprintln(w)
 
-	// Extensions on a small circuit. Running them through the Engine
+	// Extensions on a small circuit. Every study runs on the Engine and
 	// shares one ATPG run with the Table I row of the same circuit.
 	small, err := scanpower.Benchmark(names[0])
 	if err != nil {
@@ -143,13 +143,13 @@ func main() {
 			structure, st.Baseline.DynamicPerHz,
 			minReport(st), st.BestDynamicGain())
 	}
-	tp, err := scanpower.StudyTestPoints(small, cfg, 0.6)
+	tp, err := eng.StudyTestPoints(ctx, small, 0.6)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(w, "- Test points ([6]): %d gated lines to cap peak at 60%% (%.1f → %.1f nW/GHz), costing +%.0f ps.\n",
 		tp.Points, tp.BasePeakPerHz*1e9, tp.FinalPeakPerHz*1e9, tp.DelayPenaltyPS)
-	chains, err := scanpower.StudyChains(small, cfg)
+	chains, err := eng.StudyChains(ctx, small)
 	if err != nil {
 		fatal(err)
 	}

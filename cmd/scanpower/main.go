@@ -46,7 +46,6 @@ import (
 	"repro"
 	"repro/api"
 	"repro/client"
-	"repro/internal/atpg"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -191,7 +190,7 @@ func main() {
 		cfg.Leak.PowerUW(sol.Stats.ScanLeakNA), cfg.Leak.PowerUW(sol.MuxScanLeakNA(cfg.Leak)))
 
 	if *vcdPath != "" {
-		if err := dumpVCD(*vcdPath, sol, cfg, *patFile); err != nil {
+		if err := dumpVCD(ctx, *vcdPath, eng, c, sol, *patFile); err != nil {
 			fmt.Fprintln(os.Stderr, "scanpower:", err)
 			os.Exit(1)
 		}
@@ -382,16 +381,8 @@ func runRemote(ctx context.Context, servers, circuit, benchFile, verilogFile str
 	return nil
 }
 
-// loadOrGenerate returns the patterns for the power section: from the
-// vectors file when given, otherwise freshly generated.
-func loadOrGenerate(c *netlist.Circuit, cfg scanpower.Config, patFile string) ([]scan.Pattern, error) {
-	if patFile == "" {
-		res, err := atpg.Generate(c, cfg.ATPG)
-		if err != nil {
-			return nil, err
-		}
-		return res.Patterns, nil
-	}
+// loadPatterns reads a vectors file and validates it against c.
+func loadPatterns(c *netlist.Circuit, patFile string) ([]scan.Pattern, error) {
 	f, err := os.Open(patFile)
 	if err != nil {
 		return nil, err
@@ -407,9 +398,17 @@ func loadOrGenerate(c *netlist.Circuit, cfg scanpower.Config, patFile string) ([
 	return set.Patterns, nil
 }
 
-// dumpVCD writes the proposed structure's scan waveforms.
-func dumpVCD(path string, sol *core.Solution, cfg scanpower.Config, patFile string) error {
-	pats, err := loadOrGenerate(sol.Circuit, cfg, patFile)
+// dumpVCD writes the proposed structure's scan waveforms: for the stored
+// patterns when patFile is set, else for the Engine's test set of c, the
+// one the printed comparison measures.
+func dumpVCD(ctx context.Context, path string, eng *scanpower.Engine, c *netlist.Circuit, sol *core.Solution, patFile string) error {
+	var pats []scan.Pattern
+	var err error
+	if patFile != "" {
+		pats, err = loadPatterns(sol.Circuit, patFile)
+	} else {
+		pats, err = eng.Patterns(ctx, c)
+	}
 	if err != nil {
 		return err
 	}
@@ -423,7 +422,7 @@ func dumpVCD(path string, sol *core.Solution, cfg scanpower.Config, patFile stri
 
 // replayPatterns measures the three structures on a stored pattern set.
 func replayPatterns(c *netlist.Circuit, sol *core.Solution, cfg scanpower.Config, patFile string) error {
-	pats, err := loadOrGenerate(c, cfg, patFile)
+	pats, err := loadPatterns(c, patFile)
 	if err != nil {
 		return err
 	}

@@ -226,17 +226,6 @@ func atpgObserver(sc *probe.Scope, c *netlist.Circuit) atpg.Observer {
 	}
 }
 
-// patternSource supplies the ATPG result for a circuit: the Engine plugs
-// in its memoized layer, plain package functions the direct generator.
-type patternSource func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error)
-
-// directPatterns generates without caching.
-func directPatterns(cfg Config) patternSource {
-	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
-		return generate(ctx, c, scaledATPG(c, cfg))
-	}
-}
-
 // generate is the ATPG stage: generation on c under a stage scope of ctx,
 // whose start and done always pair up.
 // The done event is deferred, so a panic in generation still closes the
@@ -431,8 +420,8 @@ func resultBytes(r *atpg.Result) int64 {
 
 // Engine runs Table I-style experiments across a bounded worker pool with
 // a shared, memoized ATPG layer: every experiment on the same frozen
-// circuit (Compare, CompareEnhanced, StudyReordering, repeated runs)
-// generates patterns exactly once while the entry is resident; the cache
+// circuit (Compare, the extension studies, repeated runs) generates
+// patterns exactly once while the entry is resident; the cache
 // keeps at most patternCacheBudget bytes of results. The zero value is
 // not usable; use NewEngine. An Engine is safe for concurrent use.
 type Engine struct {
@@ -467,43 +456,46 @@ func (e *Engine) scope(ctx context.Context, circuit string) (context.Context, *p
 	return probe.Open(ctx, e.Hooks.emit, circuit)
 }
 
-// patternsFor returns a memoized pattern source under an arbitrary
-// configuration. The cache key includes the (circuit-scaled) ATPG options,
-// so sources built from different configurations share entries exactly
-// when their generation work would be identical — the per-job override
-// path of the scanpowerd service rides on this.
-func (e *Engine) patternsFor(cfg Config) patternSource {
-	return func(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
-		opts := scaledATPG(c, cfg)
-		res, hit, err := e.cache.get(ctx, newPatternKey(c.Fingerprint(), opts),
-			func() (*atpg.Result, error) { return generate(ctx, c, opts) })
-		if err != nil {
-			return nil, err
-		}
-		if !hit {
-			e.misses.Add(1)
-			return res, nil
-		}
-		e.hits.Add(1)
-		// Cache-served stages still emit a paired start/done (with
-		// CacheHit set) so span accounting never sees an unbalanced close.
-		_, sc := probe.Stage(ctx, StageATPG)
-		sc.Emit(probe.Event{Kind: probe.StageDone, Patterns: len(res.Patterns), CacheHit: true})
+// patternsFor returns c's memoized ATPG result under cfg. The cache key
+// includes the (circuit-scaled) ATPG options, so configurations share
+// entries exactly when their generation work would be identical — the
+// per-job override path of the scanpowerd service rides on this.
+func (e *Engine) patternsFor(ctx context.Context, c *netlist.Circuit, cfg Config) (*atpg.Result, error) {
+	opts := scaledATPG(c, cfg)
+	res, hit, err := e.cache.get(ctx, newPatternKey(c.Fingerprint(), opts),
+		func() (*atpg.Result, error) { return generate(ctx, c, opts) })
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		e.misses.Add(1)
 		return res, nil
 	}
+	e.hits.Add(1)
+	// Cache-served stages still emit a paired start/done (with
+	// CacheHit set) so span accounting never sees an unbalanced close.
+	_, sc := probe.Stage(ctx, StageATPG)
+	sc.Emit(probe.Event{Kind: probe.StageDone, Patterns: len(res.Patterns), CacheHit: true})
+	return res, nil
 }
 
-// patterns is the memoized pattern source of the extension studies: their
-// ATPG stage is reported in a circuit scope of its own.
-func (e *Engine) patterns(ctx context.Context, c *netlist.Circuit) (*atpg.Result, error) {
+// Patterns returns the test set every experiment of the Engine measures c
+// with: its ATPG patterns under e.Cfg, generated once and then served from
+// the pattern cache. The ATPG stage is reported in a circuit scope of its
+// own. The slice is shared with the cache; callers must not modify it.
+func (e *Engine) Patterns(ctx context.Context, c *netlist.Circuit) ([]scan.Pattern, error) {
 	ctx, sc := e.scope(ctx, c.Name)
 	defer sc.Close()
-	return e.patternsFor(e.Cfg)(ctx, c)
+	res, err := e.patternsFor(ctx, c, e.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res.Patterns, nil
 }
 
 // Compare runs the Table I experiment on c through the Engine's pattern
-// cache; repeated calls (or CompareEnhanced/StudyReordering on the same
-// circuit) reuse the generated patterns.
+// cache; repeated calls (or the extension studies on the same circuit)
+// reuse the generated patterns.
 func (e *Engine) Compare(ctx context.Context, c *netlist.Circuit) (*Comparison, error) {
 	return e.CompareWith(ctx, c, e.Cfg)
 }
@@ -516,17 +508,7 @@ func (e *Engine) Compare(ctx context.Context, c *netlist.Circuit) (*Comparison, 
 func (e *Engine) CompareWith(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
 	ctx, sc := e.scope(ctx, c.Name)
 	defer sc.Close()
-	return compareWith(ctx, c, cfg, e.patternsFor(cfg))
-}
-
-// CompareEnhanced runs the enhanced-scan extension through the cache.
-func (e *Engine) CompareEnhanced(ctx context.Context, c *netlist.Circuit) (*EnhancedComparison, error) {
-	return compareEnhancedWith(ctx, c, e.Cfg, e.patterns)
-}
-
-// StudyReordering runs the reordering extension through the cache.
-func (e *Engine) StudyReordering(ctx context.Context, c *netlist.Circuit, structure string) (*ReorderingStudy, error) {
-	return studyReorderingWith(ctx, c, e.Cfg, structure, e.patterns)
+	return e.compareWith(ctx, c, cfg)
 }
 
 // Result is one streamed outcome of Engine.Run: the comparison for
@@ -587,7 +569,7 @@ func (e *Engine) run(ctx context.Context, names []string, fail context.CancelCau
 				} else if c, err := Benchmark(r.Name); err != nil {
 					r.Err = err
 				} else {
-					r.Comparison, r.Err = compareWith(cctx, c, e.Cfg, e.patternsFor(e.Cfg))
+					r.Comparison, r.Err = e.compareWith(cctx, c, e.Cfg)
 				}
 				if r.Err != nil && fail != nil {
 					fail(fmt.Errorf("%s: %w", r.Name, r.Err))
@@ -651,11 +633,11 @@ func runErr(ctx, runCtx context.Context) error {
 }
 
 // WriteTable renders the Table I rows for names to w in input order,
-// streaming each row as soon as every earlier row is available. With
-// Workers > 1 the output is byte-identical to the sequential WriteTable —
-// the experiments are independent and individually deterministic. The
-// first failure cancels the rest of the run, as in RunAll; rows before
-// the first failed or cancelled circuit are still written.
+// streaming each row as soon as every earlier row is available. The
+// output is byte-identical for every Workers value — the experiments are
+// independent and individually deterministic. The first failure cancels
+// the rest of the run, as in RunAll; rows before the first failed or
+// cancelled circuit are still written.
 func (e *Engine) WriteTable(ctx context.Context, w io.Writer, names []string) error {
 	if ctx == nil {
 		ctx = context.Background()

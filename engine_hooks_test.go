@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/atpg"
-	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
 
@@ -107,17 +106,16 @@ func TestStageHooksPairedOnError(t *testing.T) {
 	}
 }
 
-// TestStageHooksPairedOnSuccess pins the balance on the happy path too,
-// including the direct (non-Engine) entry point.
+// TestStageHooksPairedOnSuccess pins the balance on the happy path too.
 func TestStageHooksPairedOnSuccess(t *testing.T) {
 	c, err := Benchmark("s344")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bal := newStageBalance()
-	ctx, sc := probe.Open(context.Background(), bal.hooks().emit, c.Name)
-	defer sc.Close()
-	if _, err := compareWith(ctx, c, DefaultConfig(), directPatterns(DefaultConfig())); err != nil {
+	eng := NewEngine(DefaultConfig())
+	eng.Hooks = bal.hooks()
+	if _, err := eng.Compare(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	bal.check(t)

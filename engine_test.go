@@ -14,8 +14,9 @@ import (
 var engineTestNames = []string{"s344", "s382", "s444", "s510"}
 
 // TestEngineDeterminism: Engine.WriteTable with an oversubscribed worker
-// pool must emit byte-identical Table I rows to the sequential WriteTable
-// — the per-circuit experiments are independent and seed-deterministic.
+// pool (j=8) must emit byte-identical Table I rows to the package-level
+// WriteTable wrapper, which runs one worker (j=1) — the per-circuit
+// experiments are independent and seed-deterministic.
 func TestEngineDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	var seq strings.Builder

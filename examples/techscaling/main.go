@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,8 @@ func main() {
 	const shiftHz = 100e6
 	fmt.Printf("traditional scan @ %.0f MHz shift clock\n\n", shiftHz/1e6)
 
-	points, err := scanpower.StudyTechScaling(c, scanpower.DefaultConfig(), shiftHz)
+	eng := scanpower.NewEngine(scanpower.DefaultConfig())
+	points, err := eng.StudyTechScaling(context.Background(), c, shiftHz)
 	if err != nil {
 		log.Fatal(err)
 	}

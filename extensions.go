@@ -18,10 +18,14 @@ import (
 // This file hosts the extensions beyond the paper's measured table:
 //
 //   - the enhanced-scan comparison (full isolation à la [5], which the
-//     paper argues against because it costs clock period), and
+//     paper argues against because it costs clock period),
 //   - the pattern/scan-cell reordering study the paper explicitly defers
 //     ("by applying reordering techniques, further improvements can be
-//     achieved").
+//     achieved"), and
+//   - the technology-scaling, multi-chain and test-point ([6]) studies.
+//
+// Every study is an Engine method and measures the test set of
+// Engine.Patterns, the one a Table I row of the same circuit measures.
 
 // EnhancedComparison measures the fully isolated structure on the same
 // test set conventions as Compare and reports the normal-mode delay
@@ -42,26 +46,25 @@ type EnhancedComparison struct {
 
 // CompareEnhanced runs the enhanced-scan extension experiment. Like every
 // v1 entry point it is context-first; pass context.Background() when no
-// cancellation is needed.
+// cancellation is needed. It is Engine.CompareEnhanced on a fresh Engine.
 func CompareEnhanced(ctx context.Context, c *netlist.Circuit, cfg Config) (*EnhancedComparison, error) {
-	return compareEnhancedWith(ctx, c, cfg, directPatterns(cfg))
+	return NewEngine(cfg).CompareEnhanced(ctx, c)
 }
 
-// compareEnhancedWith is CompareEnhanced over an explicit pattern source
-// (the Engine plugs in its memoized layer).
-func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
-	gen patternSource) (*EnhancedComparison, error) {
-
-	res, err := gen(ctx, c)
+// CompareEnhanced runs the enhanced-scan extension on the Engine's test
+// set for c.
+func (e *Engine) CompareEnhanced(ctx context.Context, c *netlist.Circuit) (*EnhancedComparison, error) {
+	pats, err := e.Patterns(ctx, c)
 	if err != nil {
 		return nil, err
 	}
+	cfg := e.Cfg
 	mopts := power.MeasureOptions{Ctx: ctx}
 	prop, err := core.BuildContext(ctx, c, cfg.Proposed)
 	if err != nil {
 		return nil, err
 	}
-	propRep, err := power.MeasureScanPackedOpts(scan.New(prop.Circuit), res.Patterns, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
+	propRep, err := power.MeasureScanPackedOpts(scan.New(prop.Circuit), pats, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +72,7 @@ func compareEnhancedWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	enhRep, err := power.MeasureScanPackedOpts(scan.New(enh.Circuit), res.Patterns, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
+	enhRep, err := power.MeasureScanPackedOpts(scan.New(enh.Circuit), pats, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -113,20 +116,19 @@ func (r *ReorderingStudy) BestDynamicGain() float64 {
 // StudyReordering runs the deferred-reordering extension experiment on
 // the given structure ("traditional" or "proposed"). Like every v1 entry
 // point it is context-first; pass context.Background() when no
-// cancellation is needed.
+// cancellation is needed. It is Engine.StudyReordering on a fresh Engine.
 func StudyReordering(ctx context.Context, c *netlist.Circuit, cfg Config, structure string) (*ReorderingStudy, error) {
-	return studyReorderingWith(ctx, c, cfg, structure, directPatterns(cfg))
+	return NewEngine(cfg).StudyReordering(ctx, c, structure)
 }
 
-// studyReorderingWith is StudyReordering over an explicit pattern source
-// (the Engine plugs in its memoized layer).
-func studyReorderingWith(ctx context.Context, c *netlist.Circuit, cfg Config,
-	structure string, gen patternSource) (*ReorderingStudy, error) {
-
-	res, err := gen(ctx, c)
+// StudyReordering runs the reordering extension on the Engine's test set
+// for c.
+func (e *Engine) StudyReordering(ctx context.Context, c *netlist.Circuit, structure string) (*ReorderingStudy, error) {
+	pats, err := e.Patterns(ctx, c)
 	if err != nil {
 		return nil, err
 	}
+	cfg := e.Cfg
 	var (
 		circ *netlist.Circuit
 		sCfg scan.ShiftConfig
@@ -159,15 +161,15 @@ func studyReorderingWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	}
 
 	st := &ReorderingStudy{Circuit: c.Name, Structure: structure}
-	if st.Baseline, err = measure(res.Patterns, nil); err != nil {
+	if st.Baseline, err = measure(pats, nil); err != nil {
 		return nil, err
 	}
-	ordered := reorder.Patterns(res.Patterns)
+	ordered := reorder.Patterns(pats)
 	if st.PatternsReordered, err = measure(ordered, nil); err != nil {
 		return nil, err
 	}
-	chain := reorder.ChainOrder(res.Patterns, c.NumFFs())
-	if st.ChainReordered, err = measure(res.Patterns, chain); err != nil {
+	chain := reorder.ChainOrder(pats, c.NumFFs())
+	if st.ChainReordered, err = measure(pats, chain); err != nil {
 		return nil, err
 	}
 	chainBoth := reorder.ChainOrder(ordered, c.NumFFs())
@@ -177,7 +179,8 @@ func studyReorderingWith(ctx context.Context, c *netlist.Circuit, cfg Config,
 	return st, nil
 }
 
-// scaledATPG applies the same large-circuit effort scaling Compare uses.
+// scaledATPG is the large-circuit effort scaling of the Engine's ATPG
+// stage.
 func scaledATPG(c *netlist.Circuit, cfg Config) atpg.Options {
 	aopts := cfg.ATPG
 	if cfg.ScaleATPG && c.NumGates() > 2000 {
@@ -206,8 +209,8 @@ type TechScalingPoint struct {
 // test set across technology generations, scaling the calibrated 45 nm
 // leakage and capacitance models per node, and reports the static share
 // of total scan power at the given shift frequency.
-func StudyTechScaling(c *netlist.Circuit, cfg Config, shiftHz float64) ([]TechScalingPoint, error) {
-	res, err := atpg.Generate(c, scaledATPG(c, cfg))
+func (e *Engine) StudyTechScaling(ctx context.Context, c *netlist.Circuit, shiftHz float64) ([]TechScalingPoint, error) {
+	pats, err := e.Patterns(ctx, c)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +227,7 @@ func StudyTechScaling(c *netlist.Circuit, cfg Config, shiftHz float64) ([]TechSc
 		if err != nil {
 			return nil, err
 		}
-		rep, err := power.MeasureScanPacked(ch, res.Patterns, tcfg, lm, cm)
+		rep, err := power.MeasureScanPackedOpts(ch, pats, tcfg, lm, cm, power.MeasureOptions{Ctx: ctx})
 		if err != nil {
 			return nil, err
 		}
@@ -251,12 +254,13 @@ type ChainStudyPoint struct {
 // the longest chain — test time falls — while per-cycle power stays in
 // the same band. Multi-chain scan composes with the paper's technique
 // unchanged (the MUX select is still the shared Shift Enable).
-func StudyChains(c *netlist.Circuit, cfg Config) ([]ChainStudyPoint, error) {
-	res, err := atpg.Generate(c, scaledATPG(c, cfg))
+func (e *Engine) StudyChains(ctx context.Context, c *netlist.Circuit) ([]ChainStudyPoint, error) {
+	pats, err := e.Patterns(ctx, c)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := core.Build(c, cfg.Proposed)
+	cfg := e.Cfg
+	sol, err := core.BuildContext(ctx, c, cfg.Proposed)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +270,7 @@ func StudyChains(c *netlist.Circuit, cfg Config) ([]ChainStudyPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := power.MeasureScanPacked(cs, res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
+		rep, err := power.MeasureScanPackedOpts(cs, pats, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
 		if err != nil {
 			return nil, err
 		}
@@ -301,16 +305,18 @@ type TestPointStudy struct {
 // the worst-cycle scan power drops below targetFrac of traditional
 // scan's peak. It reports how many points that takes and what it costs
 // in clock period — the two drawbacks the paper's structure avoids.
-func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestPointStudy, error) {
+func (e *Engine) StudyTestPoints(ctx context.Context, c *netlist.Circuit, targetFrac float64) (*TestPointStudy, error) {
 	if targetFrac <= 0 || targetFrac > 1 {
 		return nil, fmt.Errorf("scanpower: targetFrac %v out of (0,1]", targetFrac)
 	}
-	res, err := atpg.Generate(c, scaledATPG(c, cfg))
+	pats, err := e.Patterns(ctx, c)
 	if err != nil {
 		return nil, err
 	}
+	cfg := e.Cfg
+	mopts := power.MeasureOptions{Ctx: ctx}
 	tcfg := scan.Traditional(c)
-	base, err := power.MeasureScanPacked(scan.New(c), res.Patterns, tcfg, cfg.Leak, cfg.Cap)
+	base, err := power.MeasureScanPackedOpts(scan.New(c), pats, tcfg, cfg.Leak, cfg.Cap, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +325,7 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		BasePeakPerHz: base.PeakDynamicPerHz,
 		LimitPerHz:    base.PeakDynamicPerHz * targetFrac,
 	}
-	profile, err := power.ToggleProfile(scan.New(c), res.Patterns, tcfg, cfg.Cap)
+	profile, err := power.ToggleProfile(scan.New(c), pats, tcfg, cfg.Cap)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +342,8 @@ func StudyTestPoints(c *netlist.Circuit, cfg Config, targetFrac float64) (*TestP
 		if err != nil {
 			return nil, power.Report{}, err
 		}
-		rep, err := power.MeasureScanPacked(scan.New(plan.Circuit),
-			plan.AdaptPatterns(res.Patterns), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap)
+		rep, err := power.MeasureScanPackedOpts(scan.New(plan.Circuit),
+			plan.AdaptPatterns(pats), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, mopts)
 		return plan, rep, err
 	}
 	if st.BasePeakPerHz <= st.LimitPerHz {

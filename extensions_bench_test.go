@@ -81,7 +81,7 @@ func BenchmarkExtensionTechScaling(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err = StudyTechScaling(c, cfg, 100e6)
+		pts, err = NewEngine(cfg).StudyTechScaling(context.Background(), c, 100e6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkExtensionMultiChain(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err = StudyChains(c, cfg)
+		pts, err = NewEngine(cfg).StudyChains(context.Background(), c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func BenchmarkExtensionTestPoints(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err = StudyTestPoints(c, cfg, 0.6)
+		st, err = NewEngine(cfg).StudyTestPoints(context.Background(), c, 0.6)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package scanpower
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestStudyTechScalingTrend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := StudyTechScaling(c, DefaultConfig(), 100e6)
+	points, err := NewEngine(DefaultConfig()).StudyTechScaling(context.Background(), c, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestStudyChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := StudyChains(c, DefaultConfig())
+	points, err := NewEngine(DefaultConfig()).StudyChains(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,8 @@ func TestStudyTestPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := StudyTestPoints(c, DefaultConfig(), 0.6)
+	eng := NewEngine(DefaultConfig())
+	st, err := eng.StudyTestPoints(context.Background(), c, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,96 @@ func TestStudyTestPoints(t *testing.T) {
 			t.Errorf("negative delay penalty %v", st.DelayPenaltyPS)
 		}
 	}
-	if _, err := StudyTestPoints(c, DefaultConfig(), 0); err == nil {
+	if _, err := eng.StudyTestPoints(context.Background(), c, 0); err == nil {
 		t.Error("accepted bad fraction")
+	}
+}
+
+// TestStudiesMeasureTableITestSet: after a Table I run of s344, the three
+// Engine studies of the same circuit take its test set from the pattern
+// cache — one generation, three hits — and measure exactly the row's
+// patterns: the single-chain proposed structure shifts the row's cycles
+// and the test-point baseline starts from the row's traditional peak.
+func TestStudiesMeasureTableITestSet(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(DefaultConfig())
+	cmps, err := eng.RunAll(ctx, []string{"s344"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := cmps[0]
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.StudyTechScaling(ctx, c, 100e6); err != nil {
+		t.Fatal(err)
+	}
+	chains, err := eng.StudyChains(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := eng.StudyTestPoints(ctx, c, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := eng.CacheStats(); hits != 3 || misses != 1 {
+		t.Errorf("CacheStats = %d hits, %d misses; want 3 and 1", hits, misses)
+	}
+	if chains[0].Chains != 1 || chains[0].Dynamic != row.Proposed {
+		t.Errorf("one-chain study %+v differs from the row's proposed %+v", chains[0].Dynamic, row.Proposed)
+	}
+	if tp.BasePeakPerHz != row.Traditional.PeakDynamicPerHz {
+		t.Errorf("test-point base peak %v, row's traditional peak %v",
+			tp.BasePeakPerHz, row.Traditional.PeakDynamicPerHz)
+	}
+}
+
+// TestStudiesCancelled: every Engine study returns ctx's error for a dead
+// context.
+func TestStudiesCancelled(t *testing.T) {
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := NewEngine(DefaultConfig())
+	studies := map[string]func() error{
+		"StudyTechScaling": func() error { _, err := eng.StudyTechScaling(ctx, c, 100e6); return err },
+		"StudyChains":      func() error { _, err := eng.StudyChains(ctx, c); return err },
+		"StudyTestPoints":  func() error { _, err := eng.StudyTestPoints(ctx, c, 0.6); return err },
+		"CompareEnhanced":  func() error { _, err := eng.CompareEnhanced(ctx, c); return err },
+		"StudyReordering":  func() error { _, err := eng.StudyReordering(ctx, c, "proposed"); return err },
+	}
+	for name, study := range studies {
+		if err := study(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s error = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestEnginePatternsMatchCompare: Engine.Patterns is the test set Compare
+// measures, generated once.
+func TestEnginePatternsMatchCompare(t *testing.T) {
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	eng := NewEngine(cfg)
+	pats, err := eng.Patterns(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := Compare(context.Background(), c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pats) != cmp.Patterns {
+		t.Errorf("Patterns returned %d patterns, Compare measured %d", len(pats), cmp.Patterns)
+	}
+	if hits, misses := eng.CacheStats(); hits != 0 || misses != 1 {
+		t.Errorf("CacheStats = %d hits, %d misses; want 0 and 1", hits, misses)
 	}
 }

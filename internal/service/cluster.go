@@ -82,7 +82,7 @@ func newRing(members []string) *ring {
 			io.WriteString(h, n)
 			io.WriteString(h, "#")
 			io.WriteString(h, strconv.Itoa(v))
-			r.points = append(r.points, ringPoint{hash: h.Sum64(), node: n})
+			r.points = append(r.points, ringPoint{hash: mix64(h.Sum64()), node: n})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -92,6 +92,19 @@ func newRing(members []string) *ring {
 		return r.points[i].node < r.points[j].node
 	})
 	return r
+}
+
+// mix64 is the splitmix64 finalizer. FNV-64a over the short, similar
+// "member#vnode" strings mixes poorly, so without it one member of a
+// two-node ring could own as little as 1% of the keys; finalizing each
+// vnode hash spreads the points evenly over the circle.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // hashFingerprint re-mixes the structural fingerprint before the ring

@@ -400,32 +400,13 @@ var (
 // coalesced. Rejections return a *SubmitError. The circuit must already
 // be library-mapped.
 func (s *Service) Submit(c *netlist.Circuit, timeout time.Duration) (*Job, bool, error) {
-	return s.SubmitActivityTraced(c, timeout, nil,
+	return s.submit(c.Fingerprint(), c.Name, c, timeout, nil,
 		telemetry.TraceContext{TraceID: telemetry.NewTraceID()})
 }
 
-// SubmitTraced is Submit under an incoming distributed trace context: a
-// job this call creates joins tc's trace (its root span parenting to
-// tc.SpanID), and its segment is retained for GET /v1/jobs/{id}/trace.
-// A coalesced submit attaches to the existing job and keeps that job's
-// original trace.
-func (s *Service) SubmitTraced(c *netlist.Circuit, timeout time.Duration, tc telemetry.TraceContext) (*Job, bool, error) {
-	return s.SubmitActivityTraced(c, timeout, nil, tc)
-}
-
-// SubmitActivityTraced is SubmitTraced with an optional switching-activity
-// profile. The profile's hash joins the coalescing key and the store key,
-// so annotated jobs coalesce with (and warm-start from) only identically
-// annotated ones; nil behaves exactly like SubmitTraced, keying and
-// storing under the pre-activity key.
-func (s *Service) SubmitActivityTraced(c *netlist.Circuit, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
-	return s.submit(c.Fingerprint(), c.Name, c, timeout, prof, tc)
-}
-
-// submit is the admission path behind every Submit variant and POST
-// /v1/jobs. fp is the circuit's fingerprint and name its display name;
-// circ is the run's input, nil for a built-in circuit that runJob
-// generates by name. Coalescing and the store read need only fp, so a
+// submit is the admission path behind Submit and POST /v1/jobs. fp is
+// the circuit's fingerprint and name its display name; circ is the run's
+// input, nil for a built-in circuit that runJob generates by name. Coalescing and the store read need only fp, so a
 // named submit answered from either holds no circuit at all.
 func (s *Service) submit(fp uint64, name string, circ *netlist.Circuit, timeout time.Duration, prof *power.ActivityProfile, tc telemetry.TraceContext) (*Job, bool, error) {
 	if timeout <= 0 {

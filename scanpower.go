@@ -30,12 +30,14 @@
 //
 // # Engine
 //
-// Engine is the scalable way to run many experiments: a GOMAXPROCS-bounded
-// worker pool (Run / RunAll / Engine.WriteTable) with a shared, memoized
-// ATPG layer keyed by frozen-circuit fingerprint, so Compare,
-// CompareEnhanced and StudyReordering on the same circuit generate
-// patterns exactly once. Hooks expose per-stage wall time, pattern counts
-// and PODEM backtrack counters.
+// Engine is the one implementation of every experiment: a
+// GOMAXPROCS-bounded worker pool (Run / RunAll / Engine.WriteTable) with a
+// shared, memoized ATPG layer keyed by frozen-circuit fingerprint, so
+// Compare and every extension study of the same circuit generate patterns
+// exactly once. The package-level Compare, CompareEnhanced,
+// StudyReordering and WriteTable are wrappers over a fresh Engine. Hooks
+// expose per-stage wall time, pattern counts and PODEM backtrack
+// counters.
 package scanpower
 
 import (
@@ -191,23 +193,22 @@ func (c *Comparison) StaticImprovementVsInputControl() float64 {
 // must already be mapped to the library (use Prepare). ctx reaches the
 // ATPG phases, the structure builds and the power measurement, so the
 // experiment aborts promptly with ctx's error when cancelled. Matching
-// failures wrap ErrNotMapped.
+// failures wrap ErrNotMapped. It is Engine.Compare on a fresh Engine.
 func Compare(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
-	return compareWith(ctx, c, cfg, directPatterns(cfg))
+	return NewEngine(cfg).Compare(ctx, c)
 }
 
-// compareWith is the shared Table I pipeline: gen supplies the patterns
-// (the Engine's memoized layer, or the direct generator), and every stage
-// reports to the probe scope ctx carries.
-func compareWith(ctx context.Context, c *netlist.Circuit, cfg Config, gen patternSource) (*Comparison, error) {
-
+// compareWith is the Table I pipeline: the patterns come from the
+// Engine's memoized layer, and every stage reports to the probe scope ctx
+// carries.
+func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, error) {
 	if !techmap.IsMapped(c, 4) {
 		return nil, fmt.Errorf("scanpower: circuit %s: %w; call Prepare", c.Name, ErrNotMapped)
 	}
 	// scaledATPG keeps the deterministic phase affordable on the big
 	// circuits: lean on random patterns, cap PODEM effort per fault and
 	// in total (PODEM re-implies the full cone per decision).
-	res, err := gen(ctx, c)
+	res, err := e.patternsFor(ctx, c, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scanpower: ATPG: %w", err)
 	}
@@ -382,26 +383,10 @@ func (c *Comparison) Row() string {
 
 // WriteTable runs Compare over the named benchmarks and streams rows to w,
 // strictly sequentially, stopping at the first circuit whose experiment
-// returns ctx's error. Engine.WriteTable is the parallel equivalent and
-// emits byte-identical output.
+// fails or returns ctx's error. It is Engine.WriteTable with one worker;
+// more workers emit byte-identical output.
 func WriteTable(ctx context.Context, w io.Writer, names []string, cfg Config) error {
-	if _, err := fmt.Fprintln(w, TableHeader()); err != nil {
-		return err
-	}
-	for _, name := range names {
-		c, err := Benchmark(name)
-		if err != nil {
-			return err
-		}
-		cmp, err := Compare(ctx, c, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if _, err := fmt.Fprintln(w, cmp.Row()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return (&Engine{Cfg: cfg, Workers: 1}).WriteTable(ctx, w, names)
 }
 
 // TableColumns lists the Table I column headers used by NewTable.

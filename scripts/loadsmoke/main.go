@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -37,10 +36,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/client"
+	"repro/scripts/internal/daemon"
 )
 
 // warmBench is the s27 netlist used for the phase-C warm-restart probe.
@@ -79,17 +78,6 @@ var (
 	fullProfile  = profile{"full", 10 * time.Second, 10 * time.Second, 2.0, 8, 48}
 	shortProfile = profile{"short", 3 * time.Second, 3 * time.Second, 1.5, 8, 48}
 )
-
-// node is one scanpowerd process in the local cluster.
-type node struct {
-	bin      string
-	port     int
-	self     string
-	peers    string
-	storeDir string
-	logPath  string
-	cmd      *exec.Cmd
-}
 
 // loadgenRun is the slice of the loadgen document loadsmoke reads back.
 type loadgenRun struct {
@@ -190,50 +178,39 @@ func run(prof profile, out string) error {
 	doc.Workload.Command = "go run ./scripts/loadsmoke" + map[bool]string{true: " -short"}[prof.name == "short"]
 
 	// ---- Phase A: single-node cold baseline -------------------------
-	single := &node{bin: daemonBin, port: pickPort(), logPath: filepath.Join(tmp, "single.log")}
-	if err := single.start(); err != nil {
+	single := &daemon.Node{Bin: daemonBin, Port: daemon.PickPort(), LogPath: filepath.Join(tmp, "single.log")}
+	if err := single.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("loadsmoke: phase A — single node at %s, cold traffic %v\n", single.url(), prof.coldDur)
-	t1, t1raw, err := runLoadgen(loadgenBin, []string{single.url()}, prof, "cold", filepath.Join(tmp, "t1.json"))
+	fmt.Printf("loadsmoke: phase A — single node at %s, cold traffic %v\n", single.URL(), prof.coldDur)
+	t1, t1raw, err := runLoadgen(loadgenBin, []string{single.URL()}, prof, "cold", filepath.Join(tmp, "t1.json"))
 	if err != nil {
 		return err
 	}
 	if t1.Done == 0 {
 		return fmt.Errorf("phase A completed no jobs")
 	}
-	if err := single.stopGraceful(); err != nil {
+	if err := single.StopGraceful(); err != nil {
 		return fmt.Errorf("single node drain: %w", err)
 	}
 	doc.SingleNode = t1raw
 	fmt.Printf("loadsmoke: phase A baseline %.1f jobs/s (%d done)\n", t1.Throughput, t1.Done)
 
 	// ---- Phase B: 3-node cluster, same cold traffic -----------------
-	ports := []int{pickPort(), pickPort(), pickPort()}
-	selfs := make([]string, 3)
-	for i, p := range ports {
-		selfs[i] = fmt.Sprintf("http://127.0.0.1:%d", p)
-	}
-	peers := strings.Join(selfs, ",")
-	nodes := make([]*node, 3)
-	for i := range nodes {
-		nodes[i] = &node{
-			bin: daemonBin, port: ports[i], self: selfs[i], peers: peers,
-			storeDir: filepath.Join(tmp, fmt.Sprintf("store%d", i)),
-			logPath:  filepath.Join(tmp, fmt.Sprintf("node%d.log", i)),
-		}
-		if err := nodes[i].start(); err != nil {
-			return err
-		}
+	nodes, err := daemon.Cluster(daemonBin, tmp, make([]string, 3))
+	if err != nil {
+		return err
 	}
 	defer func() {
 		for _, n := range nodes {
-			if n.cmd != nil && n.cmd.Process != nil {
-				n.cmd.Process.Kill()
-				n.cmd.Wait()
-			}
+			n.Kill()
 		}
 	}()
+	selfs := make([]string, len(nodes))
+	for i, n := range nodes {
+		selfs[i] = n.Self
+	}
+	peers := nodes[0].Peers
 	fmt.Printf("loadsmoke: phase B — 3-node cluster %v, cold traffic %v\n", selfs, prof.coldDur)
 	t3, t3raw, err := runLoadgen(loadgenBin, selfs, prof, "cold", filepath.Join(tmp, "t3.json"))
 	if err != nil {
@@ -284,16 +261,16 @@ func run(prof profile, out string) error {
 	if err != nil {
 		return fmt.Errorf("warm probe result: %w", err)
 	}
-	var victim *node
+	var victim *daemon.Node
 	for _, n := range nodes {
-		if n.self == probe.Node {
+		if n.Self == probe.Node {
 			victim = n
 		}
 	}
 	if victim == nil {
 		return fmt.Errorf("warm probe owner %q is not a cluster member", probe.Node)
 	}
-	fmt.Printf("loadsmoke: phase C — mixed traffic %v, killing owner %s mid-run\n", prof.mixedDur, victim.self)
+	fmt.Printf("loadsmoke: phase C — mixed traffic %v, killing owner %s mid-run\n", prof.mixedDur, victim.Self)
 
 	mixedOut := filepath.Join(tmp, "mixed.json")
 	mixed := exec.Command(loadgenBin,
@@ -309,15 +286,12 @@ func run(prof profile, out string) error {
 	// A third in: SIGKILL the probe's owner. Restart it on the same
 	// store directory once the dust settles.
 	time.Sleep(prof.mixedDur / 3)
-	if err := victim.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	victim.cmd.Wait()
+	victim.Kill()
 	time.Sleep(500 * time.Millisecond)
-	if err := victim.start(); err != nil {
+	if err := victim.Start(); err != nil {
 		return fmt.Errorf("restart killed node: %w", err)
 	}
-	fmt.Printf("loadsmoke: node %s restarted on its store\n", victim.self)
+	fmt.Printf("loadsmoke: node %s restarted on its store\n", victim.Self)
 
 	if err := mixed.Wait(); err != nil {
 		return fmt.Errorf("mixed loadgen: %w", err)
@@ -339,15 +313,15 @@ func run(prof profile, out string) error {
 
 	// Warm-restart contract: the restarted owner serves the probe from
 	// its store — identical bytes, store hit, no ATPG recompute.
-	hits0, err := scrapeCounter(victim.url(), "scanpower_service_store_hits_total")
+	hits0, err := scrapeCounter(victim.URL(), "scanpower_service_store_hits_total")
 	if err != nil {
 		return err
 	}
-	miss0, err := scrapeCounter(victim.url(), "scanpower_atpg_cache_misses_total")
+	miss0, err := scrapeCounter(victim.URL(), "scanpower_atpg_cache_misses_total")
 	if err != nil {
 		return err
 	}
-	ownerCl, err := client.New([]string{victim.self}, client.Options{PollInterval: 20 * time.Millisecond})
+	ownerCl, err := client.New([]string{victim.Self}, client.Options{PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		return err
 	}
@@ -365,11 +339,11 @@ func run(prof profile, out string) error {
 	if !bytes.Equal(firstBytes, secondBytes) {
 		return fmt.Errorf("restarted node served different bytes for warm-probe:\nfirst:  %s\nsecond: %s", firstBytes, secondBytes)
 	}
-	hits1, err := scrapeCounter(victim.url(), "scanpower_service_store_hits_total")
+	hits1, err := scrapeCounter(victim.URL(), "scanpower_service_store_hits_total")
 	if err != nil {
 		return err
 	}
-	miss1, err := scrapeCounter(victim.url(), "scanpower_atpg_cache_misses_total")
+	miss1, err := scrapeCounter(victim.URL(), "scanpower_atpg_cache_misses_total")
 	if err != nil {
 		return err
 	}
@@ -379,7 +353,7 @@ func run(prof profile, out string) error {
 	if miss1 != miss0 {
 		return fmt.Errorf("warm resubmit recomputed: ATPG cache misses %d -> %d", miss0, miss1)
 	}
-	doc.WarmRestart.Node = victim.self
+	doc.WarmRestart.Node = victim.Self
 	doc.WarmRestart.Circuit = "warm-probe"
 	doc.WarmRestart.BytesIdentical = true
 	doc.WarmRestart.StoreHits = hits1 - hits0
@@ -389,8 +363,8 @@ func run(prof profile, out string) error {
 
 	// ---- Graceful drain of the whole cluster ------------------------
 	for _, n := range nodes {
-		if err := n.stopGraceful(); err != nil {
-			return fmt.Errorf("drain %s: %w", n.self, err)
+		if err := n.StopGraceful(); err != nil {
+			return fmt.Errorf("drain %s: %w", n.Self, err)
 		}
 	}
 	fmt.Println("loadsmoke: all nodes drained cleanly on SIGTERM")
@@ -433,81 +407,6 @@ func runLoadgen(bin string, servers []string, prof profile, mode, outPath string
 		return nil, nil, err
 	}
 	return &r, json.RawMessage(bytes.TrimSpace(raw)), nil
-}
-
-func (n *node) url() string { return fmt.Sprintf("http://127.0.0.1:%d", n.port) }
-
-// start boots the daemon and waits for /v1/healthz to answer 200.
-func (n *node) start() error {
-	args := []string{
-		"-listen", fmt.Sprintf("127.0.0.1:%d", n.port),
-		"-workers", "1", "-queue", "64",
-	}
-	if n.storeDir != "" {
-		args = append(args, "-store-dir", n.storeDir)
-	}
-	if n.peers != "" {
-		args = append(args, "-self", n.self, "-peers", n.peers)
-	}
-	logf, err := os.OpenFile(n.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	cmd := exec.Command(n.bin, args...)
-	cmd.Stdout = logf
-	cmd.Stderr = logf
-	err = cmd.Start()
-	logf.Close() // the child holds its own copy of the fd
-	if err != nil {
-		return fmt.Errorf("start node on :%d: %w", n.port, err)
-	}
-	n.cmd = cmd
-
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(n.url() + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return fmt.Errorf("node on :%d never became healthy (log %s)", n.port, n.logPath)
-}
-
-// stopGraceful SIGTERMs the daemon and requires a clean exit.
-func (n *node) stopGraceful() error {
-	if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- n.cmd.Wait() }()
-	select {
-	case err := <-done:
-		n.cmd = nil
-		if err != nil {
-			return fmt.Errorf("exited uncleanly: %v", err)
-		}
-		return nil
-	case <-time.After(60 * time.Second):
-		n.cmd.Process.Kill()
-		return fmt.Errorf("did not drain within 60s of SIGTERM")
-	}
-}
-
-// pickPort reserves a free TCP port by binding and releasing it, so the
-// cluster's -self/-peers URLs are known before any daemon boots.
-func pickPort() int {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	port := l.Addr().(*net.TCPAddr).Port
-	l.Close()
-	return port
 }
 
 // scrapeCounter reads one unlabeled counter family off /metrics.

@@ -22,17 +22,15 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/client"
+	"repro/scripts/internal/daemon"
 )
 
 // probeBench is the s27 netlist every probe job instantiates; the bench
@@ -70,18 +68,6 @@ const (
 	metricSubmitSeconds = `scanpower_service_request_seconds{endpoint="submit"}`
 )
 
-// node is one scanpowerd process in the local cluster.
-type node struct {
-	bin      string
-	port     int
-	name     string
-	self     string
-	peers    string
-	storeDir string
-	logPath  string
-	cmd      *exec.Cmd
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "obssmoke: FAIL:", err)
@@ -105,59 +91,42 @@ func run() error {
 	}
 
 	// ---- Boot a named 3-node cluster --------------------------------
-	ports := []int{pickPort(), pickPort(), pickPort()}
-	selfs := make([]string, 3)
-	for i, p := range ports {
-		selfs[i] = fmt.Sprintf("http://127.0.0.1:%d", p)
-	}
-	peers := strings.Join(selfs, ",")
-	names := []string{"obs-a", "obs-b", "obs-c"}
-	nodes := make([]*node, 3)
-	for i := range nodes {
-		nodes[i] = &node{
-			bin: bin, port: ports[i], name: names[i], self: selfs[i], peers: peers,
-			storeDir: filepath.Join(tmp, fmt.Sprintf("store%d", i)),
-			logPath:  filepath.Join(tmp, fmt.Sprintf("%s.log", names[i])),
-		}
-		if err := nodes[i].start(); err != nil {
-			return err
-		}
+	nodes, err := daemon.Cluster(bin, tmp, []string{"obs-a", "obs-b", "obs-c"})
+	if err != nil {
+		return err
 	}
 	defer func() {
 		for _, n := range nodes {
-			if n.cmd != nil && n.cmd.Process != nil {
-				n.cmd.Process.Kill()
-				n.cmd.Wait()
-			}
+			n.Kill()
 		}
 	}()
-	fmt.Printf("obssmoke: 3-node cluster up: %v\n", selfs)
+	fmt.Printf("obssmoke: 3-node cluster up: %s\n", nodes[0].Peers)
 
 	ctx := context.Background()
 	entry := nodes[0]
-	byURL := map[string]*node{}
+	byURL := map[string]*daemon.Node{}
 	for _, n := range nodes {
-		byURL[n.self] = n
+		byURL[n.Self] = n
 	}
 
 	// The client talks only to the entry node; forwarding is the
 	// cluster's job.
-	cl, err := client.New([]string{entry.self}, client.Options{PollInterval: 20 * time.Millisecond})
+	cl, err := client.New([]string{entry.Self}, client.Options{PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		return err
 	}
 
 	// Every node reports its identity on healthz.
 	for _, n := range nodes {
-		h, err := cl.Health(ctx, n.self)
+		h, err := cl.Health(ctx, n.Self)
 		if err != nil {
-			return fmt.Errorf("healthz %s: %w", n.self, err)
+			return fmt.Errorf("healthz %s: %w", n.Self, err)
 		}
-		if h.Node != n.name {
-			return fmt.Errorf("healthz of %s reports node %q, want %q", n.self, h.Node, n.name)
+		if h.Node != n.Name {
+			return fmt.Errorf("healthz of %s reports node %q, want %q", n.Self, h.Node, n.Name)
 		}
 		if h.GoVersion == "" || h.Version == "" {
-			return fmt.Errorf("healthz of %s missing build identity: %+v", n.self, h)
+			return fmt.Errorf("healthz of %s missing build identity: %+v", n.Self, h)
 		}
 	}
 
@@ -178,7 +147,7 @@ func run() error {
 		if j.State != "done" {
 			return fmt.Errorf("probe %d settled %s (%s)", i, j.State, j.Err)
 		}
-		if j.Node != entry.self {
+		if j.Node != entry.Self {
 			fwd = j
 		}
 	}
@@ -190,7 +159,7 @@ func run() error {
 		return fmt.Errorf("forwarded job's owner %q is not a cluster member", fwd.Node)
 	}
 	fmt.Printf("obssmoke: job %s entered at %s, ran on %s (trace %s)\n",
-		fwd.ID, entry.name, owner.name, fwd.TraceID)
+		fwd.ID, entry.Name, owner.Name, fwd.TraceID)
 
 	if len(fwd.TraceID) != 32 {
 		return fmt.Errorf("job trace ID %q is not 32 hex chars", fwd.TraceID)
@@ -200,17 +169,17 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("trace from owner: %w", err)
 	}
-	if err := checkForwardedTrace(tr, fwd, entry.name, owner.name); err != nil {
-		return fmt.Errorf("trace from owner %s: %w", owner.name, err)
+	if err := checkForwardedTrace(tr, fwd, entry.Name, owner.Name); err != nil {
+		return fmt.Errorf("trace from owner %s: %w", owner.Name, err)
 	}
 	// ...and so does the forwarding node, resolving the job through its
 	// trace ring even though the job lives on the owner.
-	trEntry, err := cl.Trace(ctx, &client.Job{ID: fwd.ID, Node: entry.self})
+	trEntry, err := cl.Trace(ctx, &client.Job{ID: fwd.ID, Node: entry.Self})
 	if err != nil {
 		return fmt.Errorf("trace from entry node: %w", err)
 	}
-	if err := checkForwardedTrace(trEntry, fwd, entry.name, owner.name); err != nil {
-		return fmt.Errorf("trace from entry node %s: %w", entry.name, err)
+	if err := checkForwardedTrace(trEntry, fwd, entry.Name, owner.Name); err != nil {
+		return fmt.Errorf("trace from entry node %s: %w", entry.Name, err)
 	}
 	fmt.Printf("obssmoke: merged trace OK from both ends — %d spans across %v\n",
 		len(tr.Spans), tr.Nodes)
@@ -238,8 +207,8 @@ func run() error {
 	// are compared, and no submits run between the reads.
 	snaps := make([]*client.MetricsSnapshot, len(nodes))
 	for i, n := range nodes {
-		if snaps[i], err = cl.NodeMetricsSnapshot(ctx, n.self); err != nil {
-			return fmt.Errorf("node metrics %s: %w", n.name, err)
+		if snaps[i], err = cl.NodeMetricsSnapshot(ctx, n.Self); err != nil {
+			return fmt.Errorf("node metrics %s: %w", n.Name, err)
 		}
 	}
 	cm, err := cl.ClusterMetrics(ctx)
@@ -298,7 +267,7 @@ func run() error {
 		}
 		if len(h.Counts) != len(bucketSum) {
 			return fmt.Errorf("node %s submit histogram has %d buckets, others %d",
-				nodes[i].name, len(h.Counts), len(bucketSum))
+				nodes[i].Name, len(h.Counts), len(bucketSum))
 		}
 		for b, c := range h.Counts {
 			bucketSum[b] += c
@@ -319,8 +288,8 @@ func run() error {
 
 	// ---- Graceful drain of the whole cluster ------------------------
 	for _, n := range nodes {
-		if err := n.stopGraceful(); err != nil {
-			return fmt.Errorf("drain %s: %w", n.name, err)
+		if err := n.StopGraceful(); err != nil {
+			return fmt.Errorf("drain %s: %w", n.Name, err)
 		}
 	}
 	fmt.Println("obssmoke: all nodes drained cleanly on SIGTERM")
@@ -375,76 +344,4 @@ func checkForwardedTrace(tr *client.Trace, j *client.Job, entryName, ownerName s
 			spansByName["job"].Parent, spansByName["forward"].SpanID)
 	}
 	return nil
-}
-
-func (n *node) url() string { return fmt.Sprintf("http://127.0.0.1:%d", n.port) }
-
-// start boots the daemon and waits for /v1/healthz to answer 200.
-func (n *node) start() error {
-	args := []string{
-		"-listen", fmt.Sprintf("127.0.0.1:%d", n.port),
-		"-workers", "1", "-queue", "64",
-		"-node", n.name,
-		"-store-dir", n.storeDir,
-		"-self", n.self, "-peers", n.peers,
-	}
-	logf, err := os.OpenFile(n.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	cmd := exec.Command(n.bin, args...)
-	cmd.Stdout = logf
-	cmd.Stderr = logf
-	err = cmd.Start()
-	logf.Close() // the child holds its own copy of the fd
-	if err != nil {
-		return fmt.Errorf("start %s on :%d: %w", n.name, n.port, err)
-	}
-	n.cmd = cmd
-
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(n.url() + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return fmt.Errorf("%s on :%d never became healthy (log %s)", n.name, n.port, n.logPath)
-}
-
-// stopGraceful SIGTERMs the daemon and requires a clean exit.
-func (n *node) stopGraceful() error {
-	if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- n.cmd.Wait() }()
-	select {
-	case err := <-done:
-		n.cmd = nil
-		if err != nil {
-			return fmt.Errorf("exited uncleanly: %v", err)
-		}
-		return nil
-	case <-time.After(60 * time.Second):
-		n.cmd.Process.Kill()
-		return fmt.Errorf("did not drain within 60s of SIGTERM")
-	}
-}
-
-// pickPort reserves a free TCP port by binding and releasing it, so the
-// cluster's -self/-peers URLs are known before any daemon boots.
-func pickPort() int {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	port := l.Addr().(*net.TCPAddr).Port
-	l.Close()
-	return port
 }
