@@ -5,9 +5,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build vet test race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
+.PHONY: check fmt build vet test bench-unit race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
 
-check: fmt vet build test race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
+check: fmt vet build test bench-unit race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
 
 # Formatting gate: fails, naming the files, when gofmt would rewrite any
 # Go file of the repository (benchmark/run.sh's build directory aside).
@@ -24,6 +24,14 @@ vet:
 test:
 	$(GO) test ./...
 
+# The benchmark is a module of its own (repro/benchmark, with
+# `replace repro => ../`), so ./... above never builds it. It imports
+# atpg.GenerateObserved, atpg.Observer and scanpower.Hooks; vet and its
+# unit tests catch a break there before a benchmark run does. -short
+# skips the two tests that build and start scanpowerd.
+bench-unit:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -32,8 +40,9 @@ race:
 # in-flight speculation, and the engine's worker-normalized pattern cache.
 # The Podem tests ride along: each scheduler worker owns a PODEM engine
 # whose undo trail (backtracks rewind it instead of re-implying), region
-# marks (only gates of the fault's TFI(TFO(f)) are evaluated) and event
-# queue are reused across faults, and the step-level differential
+# marks (only gates of the fault's TFI(TFO(f)) are evaluated) and
+# worklist (drained to the implication fixpoint, never holding a settled
+# gate) are reused across faults, and the step-level differential
 # against the full engine runs here under the race detector too.
 atpg-race:
 	$(GO) test -race -run 'Workers|Podem|Scheduler|DetectAllMask|RandomPhase' ./internal/atpg/ .
@@ -117,11 +126,11 @@ obs-smoke:
 # batches through the packed and serial fault simulators, random circuits
 # through the incremental and full PODEM engines in lockstep (after every
 # imply, including each one right after an undo-trail rewind and flip,
-# the same value on every net of the fault's region TFI(TFO(f)) and the
-# same difference set; then the same decisions, status, backtracks and
-# assignment for every fault, at 16 and at 64 backtracks), and random
-# circuit profiles through the linear-time and original quadratic circuit
-# generators (same error, or same .bench text and fingerprint). FuzzVerilog
+# the same value on every net of the fault's region TFI(TFO(f)), the
+# same difference set and an empty worklist; then the same decisions,
+# status, backtracks and assignment for every fault, at 16 and at 64
+# backtracks), and random circuit profiles through the linear-time and
+# original quadratic circuit generators (same error, or same .bench text and fingerprint). FuzzVerilog
 # feeds arbitrary text to the Verilog reader the daemon runs on inline
 # submissions: an error or a frozen circuit, never a panic. FuzzVCD does
 # the same for the VCD reader behind activity submissions: an error or a

@@ -28,6 +28,12 @@ const (
 	StageTraditional  = "traditional"
 	StageInputControl = "input-control"
 	StageProposed     = "proposed"
+	// StageEnhanced is the fully isolated structure of CompareEnhanced,
+	// and StageTestPoints the test-point search of StudyTestPoints. The
+	// other studies report their builds and measurements under the stage
+	// of the structure they measure.
+	StageEnhanced   = "enhanced"
+	StageTestPoints = "test-points"
 )
 
 // StageInfo carries per-stage counters to Hooks.OnStageDone.

@@ -26,6 +26,9 @@ import (
 //
 // Every study is an Engine method and measures the test set of
 // Engine.Patterns, the one a Table I row of the same circuit measures.
+// Like a Table I row, a study reports to one circuit scope: its ATPG
+// stage, then its builds and measurements in stages of their own
+// (runStage), so a manifest entry of a study shows where its time went.
 
 // EnhancedComparison measures the fully isolated structure on the same
 // test set conventions as Compare and reports the normal-mode delay
@@ -54,36 +57,39 @@ func CompareEnhanced(ctx context.Context, c *netlist.Circuit, cfg Config) (*Enha
 // CompareEnhanced runs the enhanced-scan extension on the Engine's test
 // set for c.
 func (e *Engine) CompareEnhanced(ctx context.Context, c *netlist.Circuit) (*EnhancedComparison, error) {
-	pats, err := e.Patterns(ctx, c)
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	res, err := e.patternsFor(ctx, c, e.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.Cfg
-	mopts := power.MeasureOptions{Ctx: ctx}
-	prop, err := core.BuildContext(ctx, c, cfg.Proposed)
-	if err != nil {
+	pats, cfg := res.Patterns, e.Cfg
+	out := &EnhancedComparison{Circuit: c.Name, FFs: c.NumFFs()}
+	if err := runStage(ctx, StageProposed, len(pats), func(ctx context.Context) error {
+		prop, err := core.BuildContext(ctx, c, cfg.Proposed)
+		if err != nil {
+			return err
+		}
+		out.ProposedMuxes = prop.Stats.MuxCount
+		out.Proposed, err = power.MeasureScanPackedOpts(scan.New(prop.Circuit), pats, prop.Cfg,
+			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	propRep, err := power.MeasureScanPackedOpts(scan.New(prop.Circuit), pats, prop.Cfg, cfg.Leak, cfg.Cap, mopts)
-	if err != nil {
+	if err := runStage(ctx, StageEnhanced, len(pats), func(ctx context.Context) error {
+		enh, penalty, err := core.EnhancedScan(c, cfg.Proposed)
+		if err != nil {
+			return err
+		}
+		out.DelayPenaltyPS = penalty
+		out.Enhanced, err = power.MeasureScanPackedOpts(scan.New(enh.Circuit), pats, enh.Cfg,
+			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	enh, penalty, err := core.EnhancedScan(c, cfg.Proposed)
-	if err != nil {
-		return nil, err
-	}
-	enhRep, err := power.MeasureScanPackedOpts(scan.New(enh.Circuit), pats, enh.Cfg, cfg.Leak, cfg.Cap, mopts)
-	if err != nil {
-		return nil, err
-	}
-	return &EnhancedComparison{
-		Circuit:        c.Name,
-		Enhanced:       enhRep,
-		Proposed:       propRep,
-		DelayPenaltyPS: penalty,
-		ProposedMuxes:  prop.Stats.MuxCount,
-		FFs:            c.NumFFs(),
-	}, nil
+	return out, nil
 }
 
 // ReorderingStudy measures one structure under the four combinations of
@@ -122,58 +128,55 @@ func StudyReordering(ctx context.Context, c *netlist.Circuit, cfg Config, struct
 }
 
 // StudyReordering runs the reordering extension on the Engine's test set
-// for c.
+// for c, in one stage named after the structure.
 func (e *Engine) StudyReordering(ctx context.Context, c *netlist.Circuit, structure string) (*ReorderingStudy, error) {
-	pats, err := e.Patterns(ctx, c)
+	if structure != StageTraditional && structure != StageProposed {
+		return nil, fmt.Errorf("scanpower: unknown structure %q", structure)
+	}
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	res, err := e.patternsFor(ctx, c, e.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.Cfg
-	var (
-		circ *netlist.Circuit
-		sCfg scan.ShiftConfig
-	)
-	switch structure {
-	case "traditional":
-		circ, sCfg = c, scan.Traditional(c)
-	case "proposed":
-		sol, err := core.BuildContext(ctx, c, cfg.Proposed)
-		if err != nil {
-			return nil, err
-		}
-		circ, sCfg = sol.Circuit, sol.Cfg
-	default:
-		return nil, fmt.Errorf("scanpower: unknown structure %q", structure)
-	}
-
-	measure := func(pats []scan.Pattern, order []int) (power.Report, error) {
-		var ch *scan.Chain
-		if order == nil {
-			ch = scan.New(circ)
-		} else {
-			var err error
-			ch, err = scan.NewWithOrder(circ, order)
-			if err != nil {
-				return power.Report{}, err
-			}
-		}
-		return power.MeasureScanPackedOpts(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
-	}
-
+	pats, cfg := res.Patterns, e.Cfg
 	st := &ReorderingStudy{Circuit: c.Name, Structure: structure}
-	if st.Baseline, err = measure(pats, nil); err != nil {
-		return nil, err
-	}
-	ordered := reorder.Patterns(pats)
-	if st.PatternsReordered, err = measure(ordered, nil); err != nil {
-		return nil, err
-	}
-	chain := reorder.ChainOrder(pats, c.NumFFs())
-	if st.ChainReordered, err = measure(pats, chain); err != nil {
-		return nil, err
-	}
-	chainBoth := reorder.ChainOrder(ordered, c.NumFFs())
-	if st.Both, err = measure(ordered, chainBoth); err != nil {
+	err = runStage(ctx, structure, len(pats), func(ctx context.Context) error {
+		circ, sCfg := c, scan.Traditional(c)
+		if structure == StageProposed {
+			sol, err := core.BuildContext(ctx, c, cfg.Proposed)
+			if err != nil {
+				return err
+			}
+			circ, sCfg = sol.Circuit, sol.Cfg
+		}
+		measure := func(pats []scan.Pattern, order []int) (power.Report, error) {
+			var ch *scan.Chain
+			if order == nil {
+				ch = scan.New(circ)
+			} else {
+				var err error
+				if ch, err = scan.NewWithOrder(circ, order); err != nil {
+					return power.Report{}, err
+				}
+			}
+			return power.MeasureScanPackedOpts(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		}
+		var err error
+		if st.Baseline, err = measure(pats, nil); err != nil {
+			return err
+		}
+		ordered := reorder.Patterns(pats)
+		if st.PatternsReordered, err = measure(ordered, nil); err != nil {
+			return err
+		}
+		if st.ChainReordered, err = measure(pats, reorder.ChainOrder(pats, c.NumFFs())); err != nil {
+			return err
+		}
+		st.Both, err = measure(ordered, reorder.ChainOrder(ordered, c.NumFFs()))
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -210,33 +213,42 @@ type TechScalingPoint struct {
 // leakage and capacitance models per node, and reports the static share
 // of total scan power at the given shift frequency.
 func (e *Engine) StudyTechScaling(ctx context.Context, c *netlist.Circuit, shiftHz float64) ([]TechScalingPoint, error) {
-	pats, err := e.Patterns(ctx, c)
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	res, err := e.patternsFor(ctx, c, e.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	ch := scan.New(c)
-	tcfg := scan.Traditional(c)
+	pats := res.Patterns
 	var out []TechScalingPoint
-	for _, node := range leakage.Nodes {
-		params, err := leakage.ParamsForNode(node.NM)
-		if err != nil {
-			return nil, err
+	err = runStage(ctx, StageTraditional, len(pats), func(ctx context.Context) error {
+		ch := scan.New(c)
+		tcfg := scan.Traditional(c)
+		for _, node := range leakage.Nodes {
+			params, err := leakage.ParamsForNode(node.NM)
+			if err != nil {
+				return err
+			}
+			lm := leakage.New(params)
+			cm, err := power.CapModelForNode(node.NM)
+			if err != nil {
+				return err
+			}
+			rep, err := power.MeasureScanPackedOpts(ch, pats, tcfg, lm, cm, power.MeasureOptions{Ctx: ctx})
+			if err != nil {
+				return err
+			}
+			dyn := rep.DynamicPerHz * shiftHz
+			pt := TechScalingPoint{NM: node.NM, VDD: node.VDD, DynamicUW: dyn, StaticUW: rep.StaticUW}
+			if tot := dyn + rep.StaticUW; tot > 0 {
+				pt.StaticShare = rep.StaticUW / tot
+			}
+			out = append(out, pt)
 		}
-		lm := leakage.New(params)
-		cm, err := power.CapModelForNode(node.NM)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := power.MeasureScanPackedOpts(ch, pats, tcfg, lm, cm, power.MeasureOptions{Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		dyn := rep.DynamicPerHz * shiftHz
-		pt := TechScalingPoint{NM: node.NM, VDD: node.VDD, DynamicUW: dyn, StaticUW: rep.StaticUW}
-		if tot := dyn + rep.StaticUW; tot > 0 {
-			pt.StaticShare = rep.StaticUW / tot
-		}
-		out = append(out, pt)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -255,30 +267,38 @@ type ChainStudyPoint struct {
 // the same band. Multi-chain scan composes with the paper's technique
 // unchanged (the MUX select is still the shared Shift Enable).
 func (e *Engine) StudyChains(ctx context.Context, c *netlist.Circuit) ([]ChainStudyPoint, error) {
-	pats, err := e.Patterns(ctx, c)
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	res, err := e.patternsFor(ctx, c, e.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.Cfg
-	sol, err := core.BuildContext(ctx, c, cfg.Proposed)
-	if err != nil {
-		return nil, err
-	}
+	pats, cfg := res.Patterns, e.Cfg
 	var out []ChainStudyPoint
-	for n := 1; n <= c.NumFFs(); n *= 2 {
-		cs, err := scan.NewChains(sol.Circuit, n)
+	err = runStage(ctx, StageProposed, len(pats), func(ctx context.Context) error {
+		sol, err := core.BuildContext(ctx, c, cfg.Proposed)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rep, err := power.MeasureScanPackedOpts(cs, pats, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
-		if err != nil {
-			return nil, err
+		for n := 1; n <= c.NumFFs(); n *= 2 {
+			cs, err := scan.NewChains(sol.Circuit, n)
+			if err != nil {
+				return err
+			}
+			rep, err := power.MeasureScanPackedOpts(cs, pats, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+			if err != nil {
+				return err
+			}
+			out = append(out, ChainStudyPoint{
+				Chains:      cs.NumChains(),
+				ShiftCycles: rep.Cycles,
+				Dynamic:     rep,
+			})
 		}
-		out = append(out, ChainStudyPoint{
-			Chains:      cs.NumChains(),
-			ShiftCycles: rep.Cycles,
-			Dynamic:     rep,
-		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -309,15 +329,20 @@ func (e *Engine) StudyTestPoints(ctx context.Context, c *netlist.Circuit, target
 	if targetFrac <= 0 || targetFrac > 1 {
 		return nil, fmt.Errorf("scanpower: targetFrac %v out of (0,1]", targetFrac)
 	}
-	pats, err := e.Patterns(ctx, c)
+	ctx, sc := e.scope(ctx, c.Name)
+	defer sc.Close()
+	res, err := e.patternsFor(ctx, c, e.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.Cfg
-	mopts := power.MeasureOptions{Ctx: ctx}
+	pats, cfg := res.Patterns, e.Cfg
 	tcfg := scan.Traditional(c)
-	base, err := power.MeasureScanPackedOpts(scan.New(c), pats, tcfg, cfg.Leak, cfg.Cap, mopts)
-	if err != nil {
+	var base power.Report
+	if err := runStage(ctx, StageTraditional, len(pats), func(ctx context.Context) error {
+		var err error
+		base, err = power.MeasureScanPackedOpts(scan.New(c), pats, tcfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	st := &TestPointStudy{
@@ -325,66 +350,69 @@ func (e *Engine) StudyTestPoints(ctx context.Context, c *netlist.Circuit, target
 		BasePeakPerHz: base.PeakDynamicPerHz,
 		LimitPerHz:    base.PeakDynamicPerHz * targetFrac,
 	}
-	profile, err := power.ToggleProfile(scan.New(c), pats, tcfg, cfg.Cap)
-	if err != nil {
-		return nil, err
-	}
-	cands := core.RankTestPointCandidates(c, profile)
-	baseCrit := timing.Analyze(c, cfg.Delay).Critical
-
-	try := func(k int) (*core.TestPointPlan, power.Report, error) {
-		nets := cands[:k]
-		values := make([]bool, k)
-		for i, n := range nets {
-			values[i] = forceValueFor(c, n)
-		}
-		plan, err := core.InsertTestPoints(c, nets, values)
-		if err != nil {
-			return nil, power.Report{}, err
-		}
-		rep, err := power.MeasureScanPackedOpts(scan.New(plan.Circuit),
-			plan.AdaptPatterns(pats), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, mopts)
-		return plan, rep, err
-	}
 	if st.BasePeakPerHz <= st.LimitPerHz {
 		st.FinalPeakPerHz = st.BasePeakPerHz
 		st.MeanDynamicPerHz = base.DynamicPerHz
 		return st, nil
 	}
-	// Exponential probe then refine to the smallest sufficient prefix.
-	k := 1
-	var plan *core.TestPointPlan
-	var rep power.Report
-	for {
-		if k > len(cands) {
-			k = len(cands)
-		}
-		plan, rep, err = try(k)
+	err = runStage(ctx, StageTestPoints, len(pats), func(ctx context.Context) error {
+		profile, err := power.ToggleProfile(scan.New(c), pats, tcfg, cfg.Cap)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rep.PeakDynamicPerHz <= st.LimitPerHz || k == len(cands) {
-			break
+		cands := core.RankTestPointCandidates(c, profile)
+		try := func(k int) (*core.TestPointPlan, power.Report, error) {
+			nets := cands[:k]
+			values := make([]bool, k)
+			for i, n := range nets {
+				values[i] = forceValueFor(c, n)
+			}
+			plan, err := core.InsertTestPoints(c, nets, values)
+			if err != nil {
+				return nil, power.Report{}, err
+			}
+			rep, err := power.MeasureScanPackedOpts(scan.New(plan.Circuit),
+				plan.AdaptPatterns(pats), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+			return plan, rep, err
 		}
-		k *= 2
+		// Exponential probe then refine to the smallest sufficient prefix.
+		k := 1
+		var plan *core.TestPointPlan
+		var rep power.Report
+		for {
+			if k > len(cands) {
+				k = len(cands)
+			}
+			if plan, rep, err = try(k); err != nil {
+				return err
+			}
+			if rep.PeakDynamicPerHz <= st.LimitPerHz || k == len(cands) {
+				break
+			}
+			k *= 2
+		}
+		lo, hi := k/2, k // lo insufficient (or 0), hi sufficient/limit
+		for lo+1 < hi {
+			mid := (lo + hi) / 2
+			p2, r2, err := try(mid)
+			if err != nil {
+				return err
+			}
+			if r2.PeakDynamicPerHz <= st.LimitPerHz {
+				hi, plan, rep = mid, p2, r2
+			} else {
+				lo = mid
+			}
+		}
+		st.Points = hi
+		st.FinalPeakPerHz = rep.PeakDynamicPerHz
+		st.MeanDynamicPerHz = rep.DynamicPerHz
+		st.DelayPenaltyPS = timing.Analyze(plan.Circuit, cfg.Delay).Critical - timing.Analyze(c, cfg.Delay).Critical
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	lo, hi := k/2, k // lo insufficient (or 0), hi sufficient/limit
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		p2, r2, err := try(mid)
-		if err != nil {
-			return nil, err
-		}
-		if r2.PeakDynamicPerHz <= st.LimitPerHz {
-			hi, plan, rep = mid, p2, r2
-		} else {
-			lo = mid
-		}
-	}
-	st.Points = hi
-	st.FinalPeakPerHz = rep.PeakDynamicPerHz
-	st.MeanDynamicPerHz = rep.DynamicPerHz
-	st.DelayPenaltyPS = timing.Analyze(plan.Circuit, cfg.Delay).Critical - baseCrit
 	return st, nil
 }
 

@@ -1,8 +1,6 @@
 package atpg
 
 import (
-	"math/bits"
-
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/testability"
@@ -35,6 +33,10 @@ func pairOf(good, faulty logic.Value) uint8 { return uint8(good) | uint8(faulty)
 
 // notPair complements both rails: each rail's "is 0" and "is 1" bits swap.
 func notPair(v uint8) uint8 { return v&railZero<<1 | v>>1&railZero }
+
+// settled reports whether v is binary on both rails. Implication only
+// refines a value away from X, so a settled net never changes again.
+func settled(v uint8) bool { return v&railGood != 0 && v&^railGood != 0 }
 
 // diffPair reports whether v carries a binary good/faulty difference (D
 // or D'): both rails binary and unequal, i.e. complementary bits.
@@ -118,13 +120,12 @@ type podemEnv struct {
 	// inIdx is each net's position in inputs, or -1 for a net that is not
 	// a combinational input.
 	inIdx []int32
-	// The gate graph as flat arrays: per-gate type, fuseOp opcode, output
-	// net and level; gate g reads fanin[faninOff[g]:faninOff[g+1]], and
+	// The gate graph as flat arrays: per-gate type, fuseOp opcode and
+	// output net; gate g reads fanin[faninOff[g]:faninOff[g+1]], and
 	// net n feeds fanout[fanoutOff[n]:fanoutOff[n+1]].
 	gType     []logic.GateType
 	gOp       []uint8
 	gOut      []netlist.NetID
-	gLevel    []int32
 	faninOff  []int32
 	fanin     []netlist.NetID
 	fanoutOff []int32
@@ -157,7 +158,6 @@ func newPodemEnv(c *netlist.Circuit, scoap *testability.Analysis, maxBacktracks 
 		gType:         make([]logic.GateType, nGates),
 		gOp:           make([]uint8, nGates),
 		gOut:          make([]netlist.NetID, nGates),
-		gLevel:        make([]int32, nGates),
 		faninOff:      make([]int32, nGates+1),
 		fanoutOff:     make([]int32, nNets+1),
 		topoIdx:       make([]int32, nGates),
@@ -176,7 +176,6 @@ func newPodemEnv(c *netlist.Circuit, scoap *testability.Analysis, maxBacktracks 
 		env.gType[gi] = g.Type
 		env.gOp[gi] = fuseOp(g.Type, len(g.Inputs))
 		env.gOut[gi] = g.Output
-		env.gLevel[gi] = int32(c.Level(netlist.GateID(gi)))
 		env.fanin = append(env.fanin, g.Inputs...)
 		env.faninOff[gi+1] = int32(len(env.fanin))
 	}
@@ -254,9 +253,9 @@ func (env *podemEnv) fanoutOf(n netlist.NetID) []netlist.GateID {
 // makes PODEM's backtracking complete.
 //
 // The default engine implies incrementally over the env's flat arrays:
-// each decision or flip propagates event-driven through level buckets
-// from the changed input only, one fused dual-rail evaluation per gate
-// for both circuits, and the D-frontier is tracked as a difference set
+// each decision or flip propagates event-driven through a worklist from
+// the changed input only, one fused dual-rail evaluation per gate for
+// both circuits, and the D-frontier is tracked as a difference set
 // instead of rescanned — the same technique FaultSim uses. Every value
 // change is logged on an undo trail, so a backtrack rewinds to the
 // flipped decision's mark instead of re-implying the popped decisions to
@@ -290,11 +289,10 @@ type podem struct {
 	inBufG []logic.Value
 	inBufF []logic.Value
 
-	// Incremental-engine state: a level-bucketed event queue with one bit
-	// per level that holds queued gates, and the set of nets carrying a
-	// binary good/faulty difference with lazy cleanup.
-	buckets  [][]netlist.GateID
-	dirty    []uint64
+	// Incremental-engine state: a LIFO worklist of gates to evaluate,
+	// queued marking its members, and the set of nets carrying a binary
+	// good/faulty difference with lazy cleanup.
+	work     []netlist.GateID
 	queued   []bool
 	stuck    uint8 // the fault site's stuck value on the faulty rail, good rail X
 	diffList []netlist.NetID
@@ -341,9 +339,7 @@ func (env *podemEnv) newPodem(full bool) *podem {
 		p.inBufF = make([]logic.Value, 0, 8)
 		return p
 	}
-	depth := c.Depth()
-	p.buckets = make([][]netlist.GateID, depth)
-	p.dirty = make([]uint64, (depth+63)/64)
+	p.work = make([]netlist.GateID, 0, c.NumGates())
 	p.queued = make([]bool, c.NumGates())
 	p.diffMark = make([]bool, c.NumNets())
 	p.inList = make([]bool, c.NumNets())
@@ -371,16 +367,10 @@ func (p *podem) reset(f Fault) {
 		return
 	}
 	// An aborted run ends right after a flip, with its events queued.
-	for w, word := range p.dirty {
-		for ; word != 0; word &= word - 1 {
-			lvl := w*64 + bits.TrailingZeros64(word)
-			for _, g := range p.buckets[lvl] {
-				p.queued[g] = false
-			}
-			p.buckets[lvl] = p.buckets[lvl][:0]
-		}
-		p.dirty[w] = 0
+	for _, g := range p.work {
+		p.queued[g] = false
 	}
+	p.work = p.work[:0]
 	for _, n := range p.diffList {
 		p.diffMark[n] = false
 		p.inList[n] = false
@@ -438,15 +428,14 @@ func (p *podem) noteNet(n netlist.NetID) {
 	}
 }
 
-// scheduleFanout queues the gates of R that net n feeds.
+// scheduleFanout queues the gates of R that net n feeds, except those
+// whose output is already settled.
 func (p *podem) scheduleFanout(n netlist.NetID) {
 	env := p.env
 	for _, g := range env.fanoutOf(n) {
-		if !p.queued[g] && p.inRegion[g] {
+		if !p.queued[g] && p.inRegion[g] && !settled(p.val[env.gOut[g]]) {
 			p.queued[g] = true
-			lvl := env.gLevel[g]
-			p.buckets[lvl] = append(p.buckets[lvl], g)
-			p.dirty[lvl>>6] |= 1 << (lvl & 63)
+			p.work = append(p.work, g)
 		}
 	}
 }
@@ -474,7 +463,7 @@ func (p *podem) assignInput(i int, v logic.Value) {
 
 // rewind restores val to its state when the trail was mark entries long,
 // newest change first, and refreshes the difference set on every
-// restored net. The event queue is empty here: a backtrack starts from an
+// restored net. The worklist is empty here: a backtrack starts from an
 // implied state.
 func (p *podem) rewind(mark int) {
 	for i := len(p.trail) - 1; i >= mark; i-- {
@@ -486,11 +475,13 @@ func (p *podem) rewind(mark int) {
 }
 
 // imply forward-simulates both the good and the faulty circuit from the
-// current input assignment: a whole-cone pass in full mode, an
-// event-driven drain of the queued gates otherwise, visiting only the
-// levels that hold any, lowest first. NOT and the two-input AND, NAND,
-// OR and NOR gates are evaluated inline, the rest through evalPair. The
-// fault net is forced to the stuck value in the faulty circuit.
+// current input assignment: a whole-cone pass in full mode, otherwise a
+// drain of the worklist in any order. Implication only refines values
+// away from X and dual-rail evaluation is monotone, so every order
+// reaches the same least fixpoint, and a gate whose output is settled
+// needs no evaluation. NOT and the two-input AND, NAND, OR and NOR gates
+// are evaluated inline, the rest through evalPair. The fault net is
+// forced to the stuck value in the faulty circuit.
 func (p *podem) imply() {
 	if p.full {
 		p.implyFull()
@@ -499,51 +490,40 @@ func (p *podem) imply() {
 	env := p.env
 	val := p.val
 	f := p.fault.Net
-	for w := 0; w < len(p.dirty); {
-		word := p.dirty[w]
-		if word == 0 {
-			w++
-			continue
+	for len(p.work) > 0 {
+		gi := p.work[len(p.work)-1]
+		p.work = p.work[:len(p.work)-1]
+		p.queued[gi] = false
+		out := env.gOut[gi]
+		off := env.faninOff[gi]
+		var nv uint8
+		switch env.gOp[gi] {
+		case fopNot:
+			nv = notPair(val[env.fanin[off]])
+		case fopAnd2:
+			a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+			nv = andPair(a|b, a&b)
+		case fopNand2:
+			a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+			nv = notPair(andPair(a|b, a&b))
+		case fopOr2:
+			a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+			nv = orPair(a|b, a&b)
+		case fopNor2:
+			a, b := val[env.fanin[off]], val[env.fanin[off+1]]
+			nv = notPair(orPair(a|b, a&b))
+		default:
+			nv = evalPair(env.gType[gi], env.faninOf(gi), val)
 		}
-		b := bits.TrailingZeros64(word)
-		p.dirty[w] = word &^ (1 << b)
-		lvl := w*64 + b
-		// Gates queued while draining sit at higher levels, never in q.
-		q := p.buckets[lvl]
-		for _, gi := range q {
-			p.queued[gi] = false
-			out := env.gOut[gi]
-			off := env.faninOff[gi]
-			var nv uint8
-			switch env.gOp[gi] {
-			case fopNot:
-				nv = notPair(val[env.fanin[off]])
-			case fopAnd2:
-				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = andPair(a|b, a&b)
-			case fopNand2:
-				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = notPair(andPair(a|b, a&b))
-			case fopOr2:
-				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = orPair(a|b, a&b)
-			case fopNor2:
-				a, b := val[env.fanin[off]], val[env.fanin[off+1]]
-				nv = notPair(orPair(a|b, a&b))
-			default:
-				nv = evalPair(env.gType[gi], env.faninOf(gi), val)
-			}
-			if out == f {
-				nv = nv&railGood | p.stuck
-			}
-			if old := val[out]; old != nv {
-				p.trail = append(p.trail, trailEntry{out, old})
-				val[out] = nv
-				p.noteNet(out)
-				p.scheduleFanout(out)
-			}
+		if out == f {
+			nv = nv&railGood | p.stuck
 		}
-		p.buckets[lvl] = q[:0]
+		if old := val[out]; old != nv {
+			p.trail = append(p.trail, trailEntry{out, old})
+			val[out] = nv
+			p.noteNet(out)
+			p.scheduleFanout(out)
+		}
 	}
 }
 
@@ -632,7 +612,7 @@ func (p *podem) frontier() netlist.GateID {
 			if best != -1 && ti >= best {
 				continue
 			}
-			if v := p.val[env.gOut[gi]]; v&railGood != 0 && v&^railGood != 0 {
+			if settled(p.val[env.gOut[gi]]) {
 				continue
 			}
 			if !p.hasXInput(gi) {

@@ -3,6 +3,7 @@ package atpg
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -65,6 +66,9 @@ type podemModeStats struct {
 //   - the incremental engine's region must be closed under fanin and
 //     hold R = TFI(TFO(f)) as a whole-circuit pass computes it, and be
 //     exactly R when the circuit has at most 256 sinks;
+//   - after reset, the worklist must hold exactly the gates of the region
+//     that the fault site feeds, whatever the previous fault left queued,
+//     and after every imply it must be empty with no gate marked queued;
 //   - after every imply, including the one right after each trail rewind
 //     and flip, every net of R must carry the same dual-rail value in
 //     both engines, the incremental difference set (marks, list
@@ -112,9 +116,11 @@ func requirePodemModesAgree(t testing.TB, label string, c *netlist.Circuit, useS
 		if cut {
 			stats.cut++
 		}
+		requireWorklist(t, where(0), inc, siteFanout(inc, f.Net))
 		for step, flipped := 0, false; ; step++ {
 			inc.imply()
 			full.imply()
+			requireWorklist(t, where(step), inc, nil)
 			if flipped {
 				stats.flips++
 			}
@@ -165,6 +171,82 @@ func requirePodemModesAgree(t testing.TB, label string, c *netlist.Circuit, useS
 		}
 	}
 	return stats
+}
+
+// siteFanout returns the gates of p's region that net n feeds, each once
+// (a gate may read n on several inputs): the worklist reset(f) must leave
+// for a fault on n.
+func siteFanout(p *podem, n netlist.NetID) []netlist.GateID {
+	var gs []netlist.GateID
+	for _, g := range p.env.fanoutOf(n) {
+		if p.inRegion[g] && !slices.Contains(gs, g) {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
+// requireWorklist fails unless p's worklist holds exactly the gates of
+// want, in any order, and queued marks exactly the worklist's gates.
+func requireWorklist(t testing.TB, where string, p *podem, want []netlist.GateID) {
+	t.Helper()
+	onList := make(map[netlist.GateID]bool, len(p.work))
+	for _, g := range p.work {
+		if onList[g] {
+			t.Fatalf("%s: gate %d is on the worklist twice", where, g)
+		}
+		onList[g] = true
+	}
+	for _, g := range want {
+		if !onList[g] {
+			t.Fatalf("%s: worklist %v lacks gate %d", where, p.work, g)
+		}
+	}
+	if len(p.work) != len(want) {
+		t.Fatalf("%s: worklist %v, want the gates %v", where, p.work, want)
+	}
+	for g, q := range p.queued {
+		if q != onList[netlist.GateID(g)] {
+			t.Fatalf("%s: gate %d queued %v, on the worklist %v", where, g, q, onList[netlist.GateID(g)])
+		}
+	}
+}
+
+// TestPodemResetAfterAbortedRun pins reset's cleanup of the worklist: an
+// aborted run ends right after a flip, with the flipped input's fanout
+// still queued. On s1423 at 4 backtracks, every fault that follows such a
+// run on the reused engine must start from the site's fanout alone
+// (requireWorklist) and reach the same status, backtrack count,
+// assignment and value on every net as on a fresh engine.
+func TestPodemResetAfterAbortedRun(t *testing.T) {
+	c := loadISCAS(t, "s1423")
+	env := newPodemEnv(c, nil, 4)
+	reused := env.newPodem(false)
+	faults := AllFaults(c)
+	followed := 0
+	for i, f := range faults[:len(faults)-1] {
+		if reused.run(f) != podemAborted || len(reused.work) == 0 {
+			continue
+		}
+		followed++
+		next := faults[i+1]
+		where := fmt.Sprintf("fault %s after aborted %s", next.Name(c), f.Name(c))
+		reused.reset(next)
+		requireWorklist(t, where, reused, siteFanout(reused, next.Net))
+		fresh := env.newPodem(false)
+		st, want := reused.run(next), fresh.run(next)
+		if st != want || reused.backtracks != fresh.backtracks {
+			t.Fatalf("%s: status %d with %d backtracks, a fresh engine gives %d with %d",
+				where, st, reused.backtracks, want, fresh.backtracks)
+		}
+		if !reflect.DeepEqual(reused.assign, fresh.assign) || !reflect.DeepEqual(reused.val, fresh.val) {
+			t.Fatalf("%s: assignment or net values differ from a fresh engine's", where)
+		}
+	}
+	if followed == 0 {
+		t.Fatal("no aborted run left gates on the worklist; the test exercises nothing")
+	}
+	t.Logf("%d faults followed an aborted run with a non-empty worklist", followed)
 }
 
 // regionOf computes fault site f's region R = TFI(TFO(f)) over whole
@@ -283,10 +365,10 @@ func TestPodemEvalPairMatchesEval(t *testing.T) {
 }
 
 // TestPodemRunNoAllocs pins the incremental engine's steady state: once
-// a pass over s1423's faults has grown the level buckets, the decision
-// stack and the difference list, running a fault on the reused engine
-// allocates nothing; the undo trail and the inRegion marks are sized in
-// newPodem and reused.
+// a pass over s1423's faults has grown the decision stack and the
+// difference list, running a fault on the reused engine allocates
+// nothing; the worklist, the undo trail and the inRegion marks are sized
+// in newPodem and reused.
 func TestPodemRunNoAllocs(t *testing.T) {
 	c := loadISCAS(t, "s1423")
 	p := newPodemEnv(c, testability.Compute(c), 64).newPodem(false)

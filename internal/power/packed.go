@@ -225,24 +225,27 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	}
 
 	// observe packs one cycle into the batch, reading only the varying
-	// inputs: the rest hold their broadcast constants.
+	// inputs: the rest hold their broadcast constants. Only when leakOf
+	// enumerates the states does it also record the cycle's state index.
 	observe := func(pi, ppi []bool) {
 		if !prepared {
 			prepare(pi, ppi)
 		}
 		wk, bit := lane>>6, uint(lane&63)
-		st := 0
-		for j, i := range varPI {
-			v := b2w(pi[i])
-			piW[i*ww+wk] |= v << bit
-			st |= int(v) << j
+		for _, i := range varPI {
+			piW[i*ww+wk] |= b2w(pi[i]) << bit
 		}
-		for j, f := range varFF {
-			v := b2w(ppi[f])
-			ppiW[f*ww+wk] |= v << bit
-			st |= int(v) << (len(varPI) + j)
+		for _, f := range varFF {
+			ppiW[f*ww+wk] |= b2w(ppi[f]) << bit
 		}
 		if leakOf != nil {
+			st := 0
+			for j, i := range varPI {
+				st |= int(b2w(pi[i])) << j
+			}
+			for j, f := range varFF {
+				st |= int(b2w(ppi[f])) << (len(varPI) + j)
+			}
 			state[lane] = uint8(st)
 		}
 		lane++

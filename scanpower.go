@@ -198,6 +198,24 @@ func Compare(ctx context.Context, c *netlist.Circuit, cfg Config) (*Comparison, 
 	return NewEngine(cfg).Compare(ctx, c)
 }
 
+// runStage runs body in a stage scope of ctx's circuit under a
+// guaranteed start/done pair: the done event, reporting a test set of
+// patterns, is deferred and fires on the error and panic paths too (with
+// Failed set), so span accounting stays balanced however the experiment
+// ends.
+func runStage(ctx context.Context, name string, patterns int, body func(ctx context.Context) error) error {
+	ctx, sc := probe.Stage(ctx, name)
+	start := time.Now()
+	ok := false
+	defer func() {
+		sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
+			Patterns: patterns, Failed: !ok})
+	}()
+	err := body(ctx)
+	ok = err == nil
+	return err
+}
+
 // compareWith is the Table I pipeline: the patterns come from the
 // Engine's memoized layer, and every stage reports to the probe scope ctx
 // carries.
@@ -219,25 +237,8 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 		Patterns:      len(res.Patterns),
 		FaultCoverage: res.Coverage(),
 	}
-	// stage runs one structure's build+measure in a stage scope under a
-	// guaranteed start/done pair: the done event is deferred and fires on
-	// the error and panic paths too (with Failed set), so span accounting
-	// stays balanced however the experiment ends.
-	stage := func(name string, body func(ctx context.Context) error) error {
-		ctx, sc := probe.Stage(ctx, name)
-		start := time.Now()
-		ok := false
-		defer func() {
-			sc.Emit(probe.Event{Kind: probe.StageDone, Elapsed: time.Since(start),
-				Patterns: len(res.Patterns), Failed: !ok})
-		}()
-		err := body(ctx)
-		ok = err == nil
-		return err
-	}
-
 	// Traditional scan.
-	if err := stage(StageTraditional, func(ctx context.Context) error {
+	if err := runStage(ctx, StageTraditional, len(res.Patterns), func(ctx context.Context) error {
 		var err error
 		cmp.Traditional, err = power.MeasureScanPackedOpts(scan.New(c), res.Patterns, scan.Traditional(c),
 			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
@@ -248,7 +249,7 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 
 	// Input-control baseline.
 	var icSol *core.Solution
-	if err := stage(StageInputControl, func(ctx context.Context) error {
+	if err := runStage(ctx, StageInputControl, len(res.Patterns), func(ctx context.Context) error {
 		var err error
 		icSol, err = core.BuildContext(ctx, c, cfg.InputControl)
 		if err != nil {
@@ -264,7 +265,7 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 
 	// Proposed structure.
 	var sol *core.Solution
-	if err := stage(StageProposed, func(ctx context.Context) error {
+	if err := runStage(ctx, StageProposed, len(res.Patterns), func(ctx context.Context) error {
 		var err error
 		sol, err = core.BuildContext(ctx, c, cfg.Proposed)
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // Metric families emitted by Recorder. Label sets: stage ∈ {atpg,
-// traditional, input-control, proposed}, outcome ∈ {detected, untestable,
-// aborted, skipped}, result ∈ {success, fail}.
+// traditional, input-control, proposed, enhanced, test-points}, outcome ∈
+// {detected, untestable, aborted, skipped}, result ∈ {success, fail}.
 const (
 	MetricStageSeconds     = "scanpower_stage_seconds"    // histogram{stage}
 	MetricSubStageSeconds  = "scanpower_substage_seconds" // histogram{stage,sub}

@@ -421,3 +421,61 @@ func TestRecorderSameNameConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderStudyStages: each Engine study is one manifest entry that
+// lists its ATPG stage and then the stages of its builds and
+// measurements, and every span it opens is closed. The studies share the
+// Engine's test set, so only the first entry's ATPG stage generates.
+func TestRecorderStudyStages(t *testing.T) {
+	c, err := Benchmark("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := telemetry.NewTraceWriter(io.Discard)
+	rec := NewRecorder(telemetry.NewRegistry(), tw)
+	eng := NewEngine(DefaultConfig())
+	eng.Hooks = rec.Hooks()
+	ctx := context.Background()
+	studies := []struct {
+		name   string
+		run    func() error
+		stages []string
+	}{
+		{"CompareEnhanced", func() error { _, err := eng.CompareEnhanced(ctx, c); return err },
+			[]string{StageATPG, StageProposed, StageEnhanced}},
+		{"StudyReordering", func() error { _, err := eng.StudyReordering(ctx, c, "proposed"); return err },
+			[]string{StageATPG, StageProposed}},
+		{"StudyTechScaling", func() error { _, err := eng.StudyTechScaling(ctx, c, 100e6); return err },
+			[]string{StageATPG, StageTraditional}},
+		{"StudyChains", func() error { _, err := eng.StudyChains(ctx, c); return err },
+			[]string{StageATPG, StageProposed}},
+		{"StudyTestPoints", func() error { _, err := eng.StudyTestPoints(ctx, c, 0.6); return err },
+			[]string{StageATPG, StageTraditional, StageTestPoints}},
+	}
+	for _, s := range studies {
+		if err := s.run(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+	rec.Close()
+	m := rec.Manifest("studies")
+	if len(m.Circuits) != len(studies) {
+		t.Fatalf("manifest has %d entries, want one per study (%d)", len(m.Circuits), len(studies))
+	}
+	for i, s := range studies {
+		cm := m.Circuits[i]
+		var got []string
+		for _, st := range cm.Stages {
+			got = append(got, st.Stage)
+		}
+		if cm.Name != c.Name || !reflect.DeepEqual(got, s.stages) {
+			t.Errorf("%s: entry %s lists stages %v, want %v", s.name, cm.Name, got, s.stages)
+		}
+		if hit := cm.Stages[0].CacheHit; hit != (i > 0) {
+			t.Errorf("%s: ATPG stage cache hit %v", s.name, hit)
+		}
+	}
+	if open := tw.OpenSpans(); open != 0 {
+		t.Errorf("%d spans still open after Close", open)
+	}
+}
