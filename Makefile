@@ -5,9 +5,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build vet test bench-unit race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
+.PHONY: check fmt build vet test examples bench-unit race atpg-race manifest-smoke telemetry-race wide-race fuzz-equiv api-compat serve-smoke loadsmoke obs-smoke
 
-check: fmt vet build test bench-unit race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
+check: fmt vet build test examples bench-unit race atpg-race telemetry-race wide-race fuzz-equiv api-compat manifest-smoke serve-smoke loadsmoke obs-smoke
 
 # Formatting gate: fails, naming the files, when gofmt would rewrite any
 # Go file of the repository (benchmark/run.sh's build directory aside).
@@ -23,6 +23,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Runs every program under examples/ end to end, output discarded: build
+# only compiles them, and a call site that compiles can still fail at
+# run time. Each takes tens of milliseconds; verilogflow writes only
+# under a temporary directory it removes.
+examples:
+	@for d in examples/*/; do $(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; done
 
 # The benchmark is a module of its own (repro/benchmark, with
 # `replace repro => ../`), so ./... above never builds it. It imports
@@ -118,8 +125,9 @@ obs-smoke:
 
 # Short equivalence fuzz of each fast path against its reference: random
 # circuits through the wide evaluators and the scalar simulator, random
-# pattern sets and shift configs through the packed and dense measurement
-# kernels (bit-equal reports), random flow shapes through the packed and
+# pattern sets, shift configs and round-robin partitions into 1 to 4
+# chains through the packed and dense measurement kernels (bit-equal
+# reports), random flow shapes through the packed and
 # scalar don't-care fills (same completion, same rng end state), random
 # set/flip/undo sequences through the blocking search's event-driven and
 # full implication (same implied value on every net), random

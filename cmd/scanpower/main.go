@@ -198,7 +198,7 @@ func main() {
 	}
 
 	if *patFile != "" {
-		if err := replayPatterns(c, sol, cfg, *patFile); err != nil {
+		if err := replayPatterns(ctx, c, sol, cfg, *patFile); err != nil {
 			fmt.Fprintln(os.Stderr, "scanpower:", err)
 			os.Exit(1)
 		}
@@ -416,21 +416,24 @@ func dumpVCD(ctx context.Context, path string, eng *scanpower.Engine, c *netlist
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return vcd.DumpScan(f, scan.New(sol.Circuit), pats, sol.Cfg, nil)
+	err = vcd.DumpScan(f, scan.New(sol.Circuit), pats, sol.Cfg, nil)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // replayPatterns measures the three structures on a stored pattern set.
-func replayPatterns(c *netlist.Circuit, sol *core.Solution, cfg scanpower.Config, patFile string) error {
+func replayPatterns(ctx context.Context, c *netlist.Circuit, sol *core.Solution, cfg scanpower.Config, patFile string) error {
 	pats, err := loadPatterns(c, patFile)
 	if err != nil {
 		return err
 	}
-	trad, err := power.MeasureScanPacked(scan.New(c), pats, scan.Traditional(c), cfg.Leak, cfg.Cap)
+	trad, err := power.MeasureScanPacked(ctx, scan.New(c), pats, scan.Traditional(c), cfg.Leak, cfg.Cap)
 	if err != nil {
 		return err
 	}
-	prop, err := power.MeasureScanPacked(scan.New(sol.Circuit), pats, sol.Cfg, cfg.Leak, cfg.Cap)
+	prop, err := power.MeasureScanPacked(ctx, scan.New(sol.Circuit), pats, sol.Cfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -54,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := power.MeasureScanPacked(scan.New(sol.Circuit), res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
+		rep, err := power.MeasureScanPacked(context.Background(), scan.New(sol.Circuit), res.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 		if err != nil {
 			log.Fatal(err)
 		}

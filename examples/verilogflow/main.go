@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -105,11 +106,11 @@ func main() {
 	if err := stored.Validate(c); err != nil {
 		log.Fatal(err)
 	}
-	trad, err := power.MeasureScanPacked(scan.New(c), stored.Patterns, scan.Traditional(c), cfg.Leak, cfg.Cap)
+	trad, err := power.MeasureScanPacked(context.Background(), scan.New(c), stored.Patterns, scan.Traditional(c), cfg.Leak, cfg.Cap)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prop, err := power.MeasureScanPacked(scan.New(sol.Circuit), stored.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
+	prop, err := power.MeasureScanPacked(context.Background(), scan.New(sol.Circuit), stored.Patterns, sol.Cfg, cfg.Leak, cfg.Cap)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,8 +71,8 @@ func (e *Engine) CompareEnhanced(ctx context.Context, c *netlist.Circuit) (*Enha
 			return err
 		}
 		out.ProposedMuxes = prop.Stats.MuxCount
-		out.Proposed, err = power.MeasureScanPackedOpts(scan.New(prop.Circuit), pats, prop.Cfg,
-			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		out.Proposed, err = power.MeasureScanPacked(ctx, scan.New(prop.Circuit), pats, prop.Cfg,
+			cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
@@ -83,8 +83,8 @@ func (e *Engine) CompareEnhanced(ctx context.Context, c *netlist.Circuit) (*Enha
 			return err
 		}
 		out.DelayPenaltyPS = penalty
-		out.Enhanced, err = power.MeasureScanPackedOpts(scan.New(enh.Circuit), pats, enh.Cfg,
-			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		out.Enhanced, err = power.MeasureScanPacked(ctx, scan.New(enh.Circuit), pats, enh.Cfg,
+			cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (e *Engine) StudyReordering(ctx context.Context, c *netlist.Circuit, struct
 			circ, sCfg = sol.Circuit, sol.Cfg
 		}
 		measure := func(pats []scan.Pattern, order []int) (power.Report, error) {
-			var ch *scan.Chain
+			var ch *scan.Chains
 			if order == nil {
 				ch = scan.New(circ)
 			} else {
@@ -160,7 +160,7 @@ func (e *Engine) StudyReordering(ctx context.Context, c *netlist.Circuit, struct
 					return power.Report{}, err
 				}
 			}
-			return power.MeasureScanPackedOpts(ch, pats, sCfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+			return power.MeasureScanPacked(ctx, ch, pats, sCfg, cfg.Leak, cfg.Cap)
 		}
 		var err error
 		if st.Baseline, err = measure(pats, nil); err != nil {
@@ -234,7 +234,7 @@ func (e *Engine) StudyTechScaling(ctx context.Context, c *netlist.Circuit, shift
 			if err != nil {
 				return err
 			}
-			rep, err := power.MeasureScanPackedOpts(ch, pats, tcfg, lm, cm, power.MeasureOptions{Ctx: ctx})
+			rep, err := power.MeasureScanPacked(ctx, ch, pats, tcfg, lm, cm)
 			if err != nil {
 				return err
 			}
@@ -285,7 +285,7 @@ func (e *Engine) StudyChains(ctx context.Context, c *netlist.Circuit) ([]ChainSt
 			if err != nil {
 				return err
 			}
-			rep, err := power.MeasureScanPackedOpts(cs, pats, sol.Cfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+			rep, err := power.MeasureScanPacked(ctx, cs, pats, sol.Cfg, cfg.Leak, cfg.Cap)
 			if err != nil {
 				return err
 			}
@@ -340,7 +340,7 @@ func (e *Engine) StudyTestPoints(ctx context.Context, c *netlist.Circuit, target
 	var base power.Report
 	if err := runStage(ctx, StageTraditional, len(pats), func(ctx context.Context) error {
 		var err error
-		base, err = power.MeasureScanPackedOpts(scan.New(c), pats, tcfg, cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		base, err = power.MeasureScanPacked(ctx, scan.New(c), pats, tcfg, cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
@@ -371,8 +371,8 @@ func (e *Engine) StudyTestPoints(ctx context.Context, c *netlist.Circuit, target
 			if err != nil {
 				return nil, power.Report{}, err
 			}
-			rep, err := power.MeasureScanPackedOpts(scan.New(plan.Circuit),
-				plan.AdaptPatterns(pats), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+			rep, err := power.MeasureScanPacked(ctx, scan.New(plan.Circuit),
+				plan.AdaptPatterns(pats), plan.AdaptConfig(tcfg), cfg.Leak, cfg.Cap)
 			return plan, rep, err
 		}
 		// Exponential probe then refine to the smallest sufficient prefix.

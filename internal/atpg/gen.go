@@ -31,10 +31,10 @@ const (
 	FillOne
 	// FillAdjacent repeats the last specified value along the scan order
 	// (minimum-transition fill). Adjacency is chain adjacency: each chain
-	// of the configured partition (Options.FillChains, or the explicit
-	// groups of GenerateChains) is filled independently in chain-position
-	// order, and cells before a chain's first specified bit take that
-	// bit's value, so no spurious transition enters from the padding.
+	// of the configured partition (Options.FillChains) is filled
+	// independently in chain-position order, and cells before a chain's
+	// first specified bit take that bit's value, so no spurious
+	// transition enters from the padding.
 	FillAdjacent
 )
 
@@ -46,8 +46,7 @@ type Options struct {
 	Fill FillMode
 	// FillChains tells FillAdjacent how the flops are partitioned into
 	// scan chains: the round-robin partition scan.NewChains(c, n) builds
-	// (0 or 1 = a single chain in flop-index order). For an arbitrary
-	// partition use GenerateChains, which takes the groups explicitly.
+	// (0 or 1 = a single chain in flop-index order).
 	FillChains int
 	// MaxBacktracks bounds each PODEM run (default 64).
 	MaxBacktracks int
@@ -139,21 +138,12 @@ func Generate(c *netlist.Circuit, opts Options) (*Result, error) {
 }
 
 // GenerateContext is Generate with cancellation: the random-pattern phase
-// checks ctx between 64-lane batches and the deterministic phase between
-// PODEM fault targets, so an oversized run can be aborted promptly. The
-// returned error is ctx.Err() when the context ends the run.
+// checks ctx between 64-lane batches, the deterministic phase between
+// PODEM fault targets and compaction between 256-pattern chunks, so an
+// oversized run can be aborted promptly. The returned error is ctx.Err()
+// when the context ends the run.
 func GenerateContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Result, error) {
 	return GenerateObserved(ctx, c, opts, Observer{})
-}
-
-// GenerateChains is GenerateContext for an explicit multi-chain scan
-// configuration: groups[k][p] is the flop index at position p of chain k
-// (the layout of scan.Chains.Groups), and FillAdjacent fills along each
-// chain's true shift order. Options.FillChains is ignored when groups is
-// non-nil. Patterns, coverage, and bookkeeping are otherwise identical to
-// GenerateContext — the chain partition only steers don't-care fill.
-func GenerateChains(ctx context.Context, c *netlist.Circuit, opts Options, groups [][]int) (*Result, error) {
-	return GenerateObservedChains(ctx, c, opts, groups, Observer{})
 }
 
 // GenerateObserved is GenerateContext with a telemetry Observer: per-fault
@@ -161,13 +151,6 @@ func GenerateChains(ctx context.Context, c *netlist.Circuit, opts Options, group
 // and phase wall times flow to ob's callbacks as they happen. A zero
 // Observer adds no work and no allocations to the generation hot paths.
 func GenerateObserved(ctx context.Context, c *netlist.Circuit, opts Options, ob Observer) (*Result, error) {
-	return GenerateObservedChains(ctx, c, opts, nil, ob)
-}
-
-// GenerateObservedChains is the full-surface entry point: observer plus
-// an optional explicit chain partition for FillAdjacent (nil derives the
-// round-robin partition from Options.FillChains).
-func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Options, groups [][]int, ob Observer) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -186,7 +169,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 	if opts.NDetect < 1 {
 		opts.NDetect = 1
 	}
-	plan, err := newFillPlan(c, opts, groups)
+	fillChains, err := scan.NewChains(c, max(1, opts.FillChains))
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +393,7 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 					buffered = 0
 					continue
 				}
-				pat := extractPattern(c, att.assign, rng, opts.Fill, plan)
+				pat := extractPattern(c, att.assign, rng, opts.Fill, fillChains.Groups)
 				// The X-fill must not mask the target fault — PODEM left
 				// the detecting assignment in place, so a miss indicates a
 				// bug; flag it loudly rather than silently losing coverage.
@@ -445,7 +428,10 @@ func GenerateObservedChains(ctx context.Context, c *netlist.Circuit, opts Option
 			t0 = time.Now()
 		}
 		n := len(patterns)
-		patterns = compact(c, patterns, faults, opts.NDetect)
+		var err error
+		if patterns, err = compact(ctx, c, patterns, faults, opts.NDetect); err != nil {
+			return nil, err
+		}
 		if ob.OnFaultSimBatch != nil {
 			ob.OnFaultSimBatch("compact", n, time.Since(t0))
 		}
@@ -481,57 +467,15 @@ func randFill(rng *rand.Rand, dst []bool) {
 	}
 }
 
-// fillPlan precomputes the chain partition FillAdjacent follows: each
-// chain lists its flop indices in chain-position order (position 0
-// nearest the scan input), matching scan.Chains.Groups.
-type fillPlan struct {
-	chains [][]int
-}
-
-// newFillPlan derives the partition from an explicit group list (which
-// must cover every flop exactly once) or from Options.FillChains as the
-// round-robin partition scan.NewChains builds.
-func newFillPlan(c *netlist.Circuit, opts Options, groups [][]int) (*fillPlan, error) {
-	nFF := c.NumFFs()
-	if groups == nil {
-		n := opts.FillChains
-		if n < 1 {
-			n = 1
-		}
-		if n > nFF && nFF > 0 {
-			n = nFF
-		}
-		groups = make([][]int, n)
-		for f := 0; f < nFF; f++ {
-			groups[f%n] = append(groups[f%n], f)
-		}
-		return &fillPlan{chains: groups}, nil
-	}
-	seen := make([]bool, nFF)
-	for _, g := range groups {
-		for _, f := range g {
-			if f < 0 || f >= nFF || seen[f] {
-				return nil, fmt.Errorf("atpg: fill groups are not a partition (flop %d)", f)
-			}
-			seen[f] = true
-		}
-	}
-	for f, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("atpg: flop %d missing from every fill group", f)
-		}
-	}
-	return &fillPlan{chains: groups}, nil
-}
-
 // extractPattern splits PODEM's input assignment (in CombInputs order)
 // into PI/state parts and completes don't-cares per the fill mode.
-// FillAdjacent fills the scan state per chain in true chain-position
-// order: within a chain the last specified value is carried forward, and
-// the cells before the first specified bit take that bit's value so the
-// leading padding causes no transition. PI don't-cares (which never shift
-// through a chain) carry forward in PI order from a zero seed.
-func extractPattern(c *netlist.Circuit, assign []logic.Value, rng *rand.Rand, mode FillMode, plan *fillPlan) scan.Pattern {
+// FillAdjacent fills the scan state per chain of chains (each listing its
+// flops in chain-position order, as scan.Chains.Groups does): within a
+// chain the last specified value is carried forward, and the cells before
+// the first specified bit take that bit's value so the leading padding
+// causes no transition. PI don't-cares (which never shift through a
+// chain) carry forward in PI order from a zero seed.
+func extractPattern(c *netlist.Circuit, assign []logic.Value, rng *rand.Rand, mode FillMode, chains [][]int) scan.Pattern {
 	nPI := len(c.PIs)
 	pat := scan.Pattern{PI: make([]bool, nPI), State: make([]bool, c.NumFFs())}
 	last := false
@@ -571,7 +515,7 @@ func extractPattern(c *netlist.Circuit, assign []logic.Value, rng *rand.Rand, mo
 		}
 		return pat
 	}
-	for _, chain := range plan.chains {
+	for _, chain := range chains {
 		firstPos := -1
 		for pos, f := range chain {
 			if assign[nPI+f].IsBinary() {
@@ -605,8 +549,9 @@ func extractPattern(c *netlist.Circuit, assign []logic.Value, rng *rand.Rand, mo
 // detect a fault not already covered (to its quota) by a kept pattern.
 // Lane 0 of each chunk is the latest unprocessed pattern and
 // DetectAllMask credits lowest lanes first, so the kept set is
-// bit-identical to the serial reverse sweep.
-func compact(c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetect int) []scan.Pattern {
+// bit-identical to the serial reverse sweep. ctx is checked before each
+// chunk; once it is done compact returns its error.
+func compact(ctx context.Context, c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetect int) ([]scan.Pattern, error) {
 	if nDetect < 1 {
 		nDetect = 1
 	}
@@ -616,6 +561,9 @@ func compact(c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetec
 	kept := make([]scan.Pattern, 0, len(patterns))
 	buf := make([]scan.Pattern, 0, width)
 	for end := len(patterns); end > 0; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		n := end
 		if n > width {
 			n = width
@@ -637,7 +585,7 @@ func compact(c *netlist.Circuit, patterns []scan.Pattern, faults []Fault, nDetec
 	for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
 		kept[i], kept[j] = kept[j], kept[i]
 	}
-	return kept
+	return kept, nil
 }
 
 // CoverageOf fault-simulates an arbitrary pattern set from scratch —

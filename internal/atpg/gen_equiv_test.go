@@ -293,47 +293,3 @@ func TestRandomPhaseStallMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestGenerateChainsRejectsBadPartition: explicit fill groups must be an
-// exact partition of the flops.
-func TestGenerateChainsRejectsBadPartition(t *testing.T) {
-	c := loadS27(t) // 3 flops
-	opts := DefaultOptions()
-	opts.Fill = FillAdjacent
-	bad := [][][]int{
-		{{0, 1}},         // flop 2 missing
-		{{0, 1, 2, 2}},   // duplicate in one chain
-		{{0, 1, 3}},      // out of range
-		{{0, 1}, {1, 2}}, // duplicate across chains
-		{{0, -1, 2}},     // negative
-	}
-	for _, groups := range bad {
-		if _, err := GenerateChains(context.Background(), c, opts, groups); err == nil {
-			t.Errorf("groups %v: want error, got nil", groups)
-		}
-	}
-}
-
-// TestGenerateChainsMatchesFillChains: passing the round-robin partition
-// explicitly is the same as asking for it by count.
-func TestGenerateChainsMatchesFillChains(t *testing.T) {
-	c := loadISCAS(t, "s382") // 21 flops
-	cs, err := scan.NewChains(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Fill = FillAdjacent
-	opts.FillChains = 3
-	implicit, err := Generate(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := GenerateChains(context.Background(), c, opts, cs.Groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(implicit, explicit) {
-		t.Error("explicit round-robin groups diverge from FillChains")
-	}
-}

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -65,6 +66,30 @@ func TestGenerateObservedMatchesGenerate(t *testing.T) {
 	if outcomes[PodemAbortedFault]+outcomes[PodemSkipped] != observed.Aborted {
 		t.Errorf("observed aborted+skipped %d != result %d",
 			outcomes[PodemAbortedFault]+outcomes[PodemSkipped], observed.Aborted)
+	}
+}
+
+// TestGenerateCancelledBeforeCompaction: compaction checks the context
+// too, so a context cancelled as the PODEM phase ends (OnPhase fires just
+// before compaction starts) ends the run with its error, not a result.
+func TestGenerateCancelledBeforeCompaction(t *testing.T) {
+	c := loadS27(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	podemPatterns := 0
+	res, err := GenerateObserved(ctx, c, DefaultOptions(), Observer{
+		OnPhase: func(phase string, _ time.Duration, patterns int) {
+			if phase == "podem" {
+				podemPatterns = patterns
+				cancel()
+			}
+		},
+	})
+	if podemPatterns < 2 {
+		t.Fatalf("PODEM phase ended with %d patterns; compaction needs 2", podemPatterns)
+	}
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("GenerateObserved returned a result: %v, error %v; want no result and context.Canceled", res != nil, err)
 	}
 }
 

@@ -29,8 +29,7 @@ func TestMeasureScanPackedNoSinkAllocs(t *testing.T) {
 	defer cancel()
 	run := func(pats []scan.Pattern) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c), lm, cm,
-				MeasureOptions{Ctx: ctx}); err != nil {
+			if _, err := MeasureScanPacked(ctx, scan.New(c), pats, scan.Traditional(c), lm, cm); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"math/bits"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 // over the compiled levelized program, counts toggled capacitance from
 // the popcount of prev^cur per net, and resolves every gate's leakage
 // state per lane from the packed words. When at most 8 inputs can change
-// between observed cycles (scan.ShiftConfig.Varying), every distinct
+// between shift cycles (scan.ShiftConfig.Varying), every distinct
 // input state's leakage is evaluated once up front and each cycle looks
 // its state up instead; capture responses are decided 256 patterns per
 // evaluation.
@@ -28,20 +29,16 @@ import (
 // cycle order across the run) are reproduced exactly, so every float in
 // the Report matches to the last ulp. The equivalence is enforced by unit
 // and fuzz tests; MeasureScan is the production kernel's test oracle.
-func MeasureScanPacked(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
+//
+// ctx is checked between patterns; once it is done the measurement
+// aborts with its error. Each packed batch and each measured pattern is
+// reported to the probe scope ctx carries.
+func MeasureScanPacked(ctx context.Context, ch *scan.Chains, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
-	return MeasureScanPackedOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
-}
-
-// MeasureScanPackedOpts is MeasureScanPacked with accounting options. It
-// reports each packed batch and each measured pattern to the probe scope
-// opts.Ctx carries.
-func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
-	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
 
 	const lanes, ww = sim.WideLanes, sim.WideWords
 
-	sc := probe.From(opts.Ctx)
+	sc := probe.From(ctx)
 	c := ch.Circuit()
 	prog := sim.Compile(c)
 	loads := cm.NetLoads(c)
@@ -54,7 +51,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	wide := sim.NewWideProgram(prog)
 
 	// Capture responses are a pure function of the pattern: at every
-	// capture scan.Chain.Run and Chains.Run apply exactly (pattern.PI,
+	// capture scan.Chains.Run applies exactly (pattern.PI,
 	// pattern.State). They are decided one window of 256 patterns per
 	// wide evaluation; capResp[k*nFF:(k+1)*nFF] is pattern k's response
 	// within the current window.
@@ -77,7 +74,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 		cycLeak  = make([]float64, lanes)
 
 		// varPI and varFF are the inputs that can change between
-		// observed cycles; the others carry one constant for the whole
+		// shift cycles; the others carry one constant for the whole
 		// run, broadcast into their lane words once by prepare.
 		prepared     bool
 		varPI, varFF []int
@@ -113,7 +110,7 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 	// the per-cycle sum of any cycle in state s.
 	prepare := func(pi, ppi []bool) {
 		prepared = true
-		varPI, varFF = cfg.Varying(opts.IncludeCapture)
+		varPI, varFF = cfg.Varying()
 		for i, v := range pi {
 			if v {
 				fillOnes(piW[i*ww : (i+1)*ww])
@@ -281,11 +278,8 @@ func MeasureScanPackedOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.Shi
 
 	hooks := scan.Hooks{
 		ShiftCycle: observe,
-		Stop:       opts.stopHook(),
+		Stop:       ctx.Err,
 		Capture: func(pi, ppi []bool) []bool {
-			if opts.IncludeCapture {
-				observe(pi, ppi)
-			}
 			k := pattern % lanes
 			if k == 0 {
 				captureWindow(pattern)

@@ -46,8 +46,8 @@ func randomPatterns(rng *rand.Rand, c *netlist.Circuit, n int) []scan.Pattern {
 }
 
 // TestMeasureScanPackedMatchesSlow: the bit-parallel kernel must agree
-// with the full re-evaluation path bit for bit, across structures,
-// capture accounting modes, and batch-boundary-crossing pattern counts.
+// with the full re-evaluation path bit for bit, across structures and
+// batch-boundary-crossing pattern counts.
 func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 	p, _ := iscas.ByName("s344")
 	c, err := iscas.Generate(p)
@@ -72,20 +72,17 @@ func TestMeasureScanPackedMatchesSlow(t *testing.T) {
 	for _, nPats := range []int{1, 12, 40} {
 		pats := randomPatterns(rng, c, nPats)
 		for ci, cfg := range cfgs {
-			for _, includeCapture := range []bool{false, true} {
-				opts := MeasureOptions{IncludeCapture: includeCapture}
-				slow, err := MeasureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if field := reportsIdentical(slow, packed); field != "" {
-					t.Errorf("pats=%d cfg=%d cap=%v: %s differs: serial %+v, packed %+v",
-						nPats, ci, includeCapture, field, slow, packed)
-				}
+			slow, err := MeasureScan(scan.New(c), pats, cfg, lm, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed, err := MeasureScanPacked(context.Background(), scan.New(c), pats, cfg, lm, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if field := reportsIdentical(slow, packed); field != "" {
+				t.Errorf("pats=%d cfg=%d: %s differs: serial %+v, packed %+v",
+					nPats, ci, field, slow, packed)
 			}
 		}
 	}
@@ -105,7 +102,7 @@ func TestMeasureScanPackedPartialBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := MeasureScanPacked(scan.New(c), pats, scan.Traditional(c), lm, cm)
+	packed, err := MeasureScanPacked(context.Background(), scan.New(c), pats, scan.Traditional(c), lm, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +115,7 @@ func TestMeasureScanPackedPartialBatch(t *testing.T) {
 // the serial kernels.
 func TestMeasureScanPackedEmptyAndErrors(t *testing.T) {
 	c := buildShiftReg(t)
-	rep, err := MeasureScanPacked(scan.New(c), nil, scan.Traditional(c), leakage.Default(), DefaultCapModel())
+	rep, err := MeasureScanPacked(context.Background(), scan.New(c), nil, scan.Traditional(c), leakage.Default(), DefaultCapModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +123,14 @@ func TestMeasureScanPackedEmptyAndErrors(t *testing.T) {
 		t.Errorf("empty run should measure nothing: %+v", rep)
 	}
 	bad := []scan.Pattern{{PI: []bool{true, true}, State: []bool{true, false, true}}}
-	if _, err := MeasureScanPacked(scan.New(c), bad, scan.Traditional(c), leakage.Default(), DefaultCapModel()); err == nil {
+	if _, err := MeasureScanPacked(context.Background(), scan.New(c), bad, scan.Traditional(c), leakage.Default(), DefaultCapModel()); err == nil {
 		t.Error("bad pattern accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pats := []scan.Pattern{{PI: []bool{true}, State: []bool{true, false, true}}}
-	if _, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
-		leakage.Default(), DefaultCapModel(), MeasureOptions{Ctx: ctx}); err == nil {
+	if _, err := MeasureScanPacked(ctx, scan.New(c), pats, scan.Traditional(c),
+		leakage.Default(), DefaultCapModel()); err == nil {
 		t.Error("cancelled context not honoured")
 	}
 }
@@ -163,8 +160,8 @@ func TestMeasureScanPackedHooks(t *testing.T) {
 			}
 		}
 	}, c.Name)
-	rep, err := MeasureScanPackedOpts(scan.New(c), pats, scan.Traditional(c),
-		leakage.Default(), DefaultCapModel(), MeasureOptions{Ctx: ctx})
+	rep, err := MeasureScanPacked(ctx, scan.New(c), pats, scan.Traditional(c),
+		leakage.Default(), DefaultCapModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +186,8 @@ func TestMeasureScanPackedHooks(t *testing.T) {
 // from per-state leakage (at most 8 varying inputs, every state in one
 // 256-lane batch) to per-lane accumulation: m = 0, 1, 8 and 9 varying
 // inputs drawn first from the unheld PIs or first from the unmuxed flops,
-// with the other PIs held at mixed 0/1, both capture modes, one chain and
-// unequal multi-chains, and pattern counts that cross the 256-lane
+// with the other PIs held at mixed 0/1, one chain and unequal
+// multi-chains, and pattern counts that cross the 256-lane
 // batches and the 256-pattern capture windows. Every Report field must
 // equal MeasureScan's.
 func TestMeasureScanPackedEnumerationBoundary(t *testing.T) {
@@ -201,10 +198,6 @@ func TestMeasureScanPackedEnumerationBoundary(t *testing.T) {
 	}
 	lm, cm := leakage.Default(), DefaultCapModel()
 	nPI, nFF := len(c.PIs), c.NumFFs()
-	chains, err := scan.NewChains(c, 4) // 15 flops: 4, 4, 4, 3
-	if err != nil {
-		t.Fatal(err)
-	}
 	// cfgFor leaves m inputs varying: X holds on the first PIs and
 	// unmuxed first flops, taking from the PIs first when pisFirst.
 	cfgFor := func(m int, pisFirst bool) scan.ShiftConfig {
@@ -230,25 +223,26 @@ func TestMeasureScanPackedEnumerationBoundary(t *testing.T) {
 		for _, m := range []int{0, 1, 8, 9} {
 			for _, pisFirst := range []bool{true, false} {
 				cfg := cfgFor(m, pisFirst)
-				pis, ffs := cfg.Varying(false)
+				pis, ffs := cfg.Varying()
 				if len(pis)+len(ffs) != m {
 					t.Fatalf("m=%d: config varies %d PIs and %d flops", m, len(pis), len(ffs))
 				}
-				for _, includeCapture := range []bool{false, true} {
-					for _, r := range []scan.Runner{scan.New(c), chains} {
-						opts := MeasureOptions{IncludeCapture: includeCapture}
-						slow, err := MeasureScanOpts(r, pats, cfg, lm, cm, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						packed, err := MeasureScanPackedOpts(r, pats, cfg, lm, cm, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if field := reportsIdentical(slow, packed); field != "" {
-							t.Errorf("pats=%d m=%d pisFirst=%v cap=%v %T: %s differs: serial %+v, packed %+v",
-								nPats, m, pisFirst, includeCapture, r, field, slow, packed)
-						}
+				for _, n := range []int{1, 4} { // 15 flops in 4 chains: 4, 4, 4, 3
+					chains, err := scan.NewChains(c, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					slow, err := MeasureScan(chains, pats, cfg, lm, cm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					packed, err := MeasureScanPacked(context.Background(), chains, pats, cfg, lm, cm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if field := reportsIdentical(slow, packed); field != "" {
+						t.Errorf("pats=%d m=%d pisFirst=%v chains=%d: %s differs: serial %+v, packed %+v",
+							nPats, m, pisFirst, n, field, slow, packed)
 					}
 				}
 			}
@@ -303,19 +297,19 @@ func randomFuzzCircuit(rng *rand.Rand) *netlist.Circuit {
 	return c
 }
 
-// FuzzMeasureScanPackedEquivalence drives random circuits, pattern sets
-// and shift configurations through both kernels and requires bit-equal
-// reports. `make fuzz-equiv` runs this continuously; the seed corpus runs
+// FuzzMeasureScanPackedEquivalence drives random circuits, pattern sets,
+// shift configurations and round-robin partitions into 1 to 4 chains
+// through both kernels and requires bit-equal reports. `make fuzz-equiv` runs this continuously; the seed corpus runs
 // on every `go test`.
 func FuzzMeasureScanPackedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(0b1010), false)
-	f.Add(int64(2), uint8(1), uint8(0), true)
-	f.Add(int64(99), uint8(70), uint8(0xFF), false)
+	f.Add(int64(1), uint8(3), uint8(0b1010), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(0), uint8(1))
+	f.Add(int64(99), uint8(70), uint8(0xFF), uint8(2))
 	// Every fuzz circuit has at most 7 inputs, so every run enumerates
 	// its states; this one (four flops, 80 patterns) spans two 256-lane
 	// batches.
-	f.Add(int64(11), uint8(79), uint8(0b0101), false)
-	f.Fuzz(func(t *testing.T, seed int64, nPats, muxMask uint8, includeCapture bool) {
+	f.Add(int64(11), uint8(79), uint8(0b0101), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nPats, muxMask, nChains uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomFuzzCircuit(rng)
 		np := int(nPats)%80 + 1
@@ -330,20 +324,24 @@ func FuzzMeasureScanPackedEquivalence(f *testing.F) {
 		for pi := range cfg.PIHold {
 			cfg.PIHold[pi] = logic.Value(rng.Intn(3))
 		}
-		opts := MeasureOptions{IncludeCapture: includeCapture}
-		lm := leakage.Default()
-		cm := DefaultCapModel()
-		slow, err := MeasureScanOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		nc := int(nChains)%4 + 1
+		chains, err := scan.NewChains(c, nc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := MeasureScanPackedOpts(scan.New(c), pats, cfg, lm, cm, opts)
+		lm := leakage.Default()
+		cm := DefaultCapModel()
+		slow, err := MeasureScan(chains, pats, cfg, lm, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := MeasureScanPacked(context.Background(), chains, pats, cfg, lm, cm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if field := reportsIdentical(slow, packed); field != "" {
-			t.Fatalf("seed=%d np=%d mux=%x cap=%v: %s differs: serial %+v, packed %+v",
-				seed, np, muxMask, includeCapture, field, slow, packed)
+			t.Fatalf("seed=%d np=%d mux=%x chains=%d: %s differs: serial %+v, packed %+v",
+				seed, np, muxMask, nc, field, slow, packed)
 		}
 	})
 }

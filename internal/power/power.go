@@ -11,7 +11,6 @@
 package power
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/leakage"
@@ -111,43 +110,16 @@ func (r Report) String() string {
 		r.DynamicPerHz, r.StaticUW, r.Cycles)
 }
 
-// MeasureOptions tunes the accounting of MeasureScan.
-type MeasureOptions struct {
-	// IncludeCapture also accumulates the capture-cycle state into the
-	// transition and leakage sums. Table I's convention (and the default)
-	// is scan/shift power only: the capture excursion to the test's own
-	// input values is test-application power common to every structure.
-	// Captures still update the chain contents either way, and the
-	// boundary transition from the last shift state of one pattern to the
-	// first of the next is always counted once.
-	IncludeCapture bool
-	// Ctx, when non-nil, is checked between patterns; a done context
-	// aborts the measurement with its error. MeasureScanPackedOpts reports
-	// each pattern and packed batch to the probe scope Ctx carries.
-	Ctx context.Context `json:"-"`
-}
-
-// stopHook converts the optional context into a scan.Hooks Stop check.
-func (o MeasureOptions) stopHook() func() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Err
-}
-
-// MeasureScan applies the pattern set through the chain under cfg and
+// MeasureScan applies the pattern set through the chains under cfg and
 // accumulates dynamic and static power of the combinational part across
-// the scan shift cycles (the paper's Table I convention; see
-// MeasureOptions to include capture cycles).
-func MeasureScan(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
+// the scan shift cycles — the paper's Table I convention: the capture
+// excursion to the test's own input values is test-application power
+// common to every structure, so captures update the chain contents but
+// are not observed, while the boundary transition from the last shift
+// state of one pattern to the first of the next is counted once. It is
+// the serial reference MeasureScanPacked is tested against.
+func MeasureScan(ch *scan.Chains, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	lm *leakage.Model, cm CapModel) (Report, error) {
-	return MeasureScanOpts(ch, patterns, cfg, lm, cm, MeasureOptions{})
-}
-
-// MeasureScanOpts is MeasureScan with explicit accounting options. It
-// accepts any scan.Runner (single chain or multi-chain).
-func MeasureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
-	lm *leakage.Model, cm CapModel, opts MeasureOptions) (Report, error) {
 
 	c := ch.Circuit()
 	s := sim.New(c)
@@ -159,33 +131,23 @@ func MeasureScanOpts(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConf
 	stateCopy := make([]bool, c.NumNets())
 
 	peak := 0.0
-	observe := func(pi, ppi []bool) []bool {
-		st := s.Eval(pi, ppi)
-		copy(stateCopy, st)
-		if d := tc.Observe(stateCopy); d > peak {
-			peak = d
-		}
-		leakSum += lm.CircuitLeakBoolTabs(c, stateCopy, leakTabs)
-		leakCycles++
-		return st
-	}
-
 	hooks := scan.Hooks{
-		ShiftCycle: func(pi, ppi []bool) { observe(pi, ppi) },
-		Capture: func(pi, ppi []bool) []bool {
-			var st []bool
-			if opts.IncludeCapture {
-				st = observe(pi, ppi)
-			} else {
-				st = s.Eval(pi, ppi)
+		ShiftCycle: func(pi, ppi []bool) {
+			copy(stateCopy, s.Eval(pi, ppi))
+			if d := tc.Observe(stateCopy); d > peak {
+				peak = d
 			}
+			leakSum += lm.CircuitLeakBoolTabs(c, stateCopy, leakTabs)
+			leakCycles++
+		},
+		Capture: func(pi, ppi []bool) []bool {
+			st := s.Eval(pi, ppi)
 			next := make([]bool, c.NumFFs())
 			for i, ff := range c.FFs {
 				next[i] = st[ff.D]
 			}
 			return next
 		},
-		Stop: opts.stopHook(),
 	}
 	if err := ch.Run(patterns, cfg, hooks); err != nil {
 		return Report{}, err

@@ -9,7 +9,7 @@ import (
 // switched capacitance it contributed (load × toggle count, fF) across
 // all shift cycles — the ranking signal peak-power test-point insertion
 // uses to decide where forcing a constant buys the most.
-func ToggleProfile(ch scan.Runner, patterns []scan.Pattern, cfg scan.ShiftConfig,
+func ToggleProfile(ch *scan.Chains, patterns []scan.Pattern, cfg scan.ShiftConfig,
 	cm CapModel) ([]float64, error) {
 
 	c := ch.Circuit()

@@ -6,29 +6,40 @@ import (
 	"repro/internal/netlist"
 )
 
-// Runner abstracts single- and multi-chain scan test application; both
-// Chain and Chains implement it, and the power measurement accepts either.
-type Runner interface {
-	Circuit() *netlist.Circuit
-	Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error
-}
-
-var (
-	_ Runner = (*Chain)(nil)
-	_ Runner = (*Chains)(nil)
-)
-
-// Chains is a multi-chain scan configuration: the flops are partitioned
-// into n chains that shift simultaneously, cutting test time by roughly
-// n× at the cost of n scan-in/scan-out pins. Shorter chains pad with
-// leading zero bits so every chain finishes loading on the same cycle.
+// Chains is the scan configuration of a circuit: its flops partitioned
+// into chains that shift simultaneously. One chain through every flop is
+// plain full scan; n chains cut test time by roughly n× at the cost of n
+// scan-in/scan-out pins. Shorter chains pad with leading zero bits so
+// every chain finishes loading on the same cycle.
 type Chains struct {
 	c *netlist.Circuit
 	// Groups[k][p] is the flop index at position p of chain k (position 0
-	// nearest that chain's scan input).
+	// nearest that chain's scan input, the last position driving its scan
+	// output).
 	Groups [][]int
-	chain  []int // per flop: owning chain
-	pos    []int // per flop: position in its chain
+	// Run keeps every chain's contents in one flat array, chain k in
+	// [seg[k], seg[k+1]) in position order; at[f] is flop f's index there.
+	seg []int
+	at  []int
+}
+
+// New threads one chain through the flops in netlist order.
+func New(c *netlist.Circuit) *Chains {
+	order := make([]int, c.NumFFs())
+	for i := range order {
+		order[i] = i
+	}
+	cs, _ := NewChainsWithGroups(c, [][]int{order})
+	return cs
+}
+
+// NewWithOrder threads one chain in the given FF order (a permutation of
+// 0..NumFFs-1).
+func NewWithOrder(c *netlist.Circuit, order []int) (*Chains, error) {
+	if len(order) != c.NumFFs() {
+		return nil, fmt.Errorf("scan: order has %d entries for %d flops", len(order), c.NumFFs())
+	}
+	return NewChainsWithGroups(c, [][]int{append([]int(nil), order...)})
 }
 
 // NewChains partitions the flops round-robin into n balanced chains.
@@ -50,26 +61,26 @@ func NewChains(c *netlist.Circuit, n int) (*Chains, error) {
 // NewChainsWithGroups builds chains from an explicit partition; every
 // flop must appear exactly once across the groups.
 func NewChainsWithGroups(c *netlist.Circuit, groups [][]int) (*Chains, error) {
-	chain := make([]int, c.NumFFs())
-	pos := make([]int, c.NumFFs())
-	for i := range chain {
-		chain[i] = -1
+	seg := make([]int, len(groups)+1)
+	at := make([]int, c.NumFFs())
+	for i := range at {
+		at[i] = -1
 	}
 	for k, g := range groups {
+		seg[k+1] = seg[k] + len(g)
 		for p, f := range g {
-			if f < 0 || f >= c.NumFFs() || chain[f] != -1 {
+			if f < 0 || f >= c.NumFFs() || at[f] != -1 {
 				return nil, fmt.Errorf("scan: groups are not a partition (flop %d)", f)
 			}
-			chain[f] = k
-			pos[f] = p
+			at[f] = seg[k] + p
 		}
 	}
-	for f, k := range chain {
-		if k == -1 {
+	for f, i := range at {
+		if i == -1 {
 			return nil, fmt.Errorf("scan: flop %d missing from every chain", f)
 		}
 	}
-	return &Chains{c: c, Groups: groups, chain: chain, pos: pos}, nil
+	return &Chains{c: c, Groups: groups, seg: seg, at: at}, nil
 }
 
 // Circuit returns the underlying circuit.
@@ -90,10 +101,14 @@ func (cs *Chains) MaxLength() int {
 	return m
 }
 
-// Run applies the patterns through all chains simultaneously; semantics
-// match Chain.Run (shift in while the previous response shifts out, one
-// capture per pattern, final zero-fill flush), with MaxLength() shift
-// cycles per pattern.
+// Run applies the patterns through all chains simultaneously: for each
+// pattern, MaxLength() shift cycles (during which the previous response
+// shifts out as the new state shifts in) followed by one capture; after
+// the last pattern the final response is flushed out with zero fill. The
+// initial chain content is all zeros.
+//
+// Run reports, via hooks, exactly what the combinational logic sees each
+// cycle; it performs no power accounting itself.
 func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 	c := cs.c
 	if err := cfg.Validate(c); err != nil {
@@ -106,11 +121,7 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 		}
 	}
 	L := cs.MaxLength()
-	// content[k][p] = bit at position p of chain k.
-	content := make([][]bool, cs.NumChains())
-	for k := range content {
-		content[k] = make([]bool, len(cs.Groups[k]))
-	}
+	content := make([]bool, c.NumFFs())
 	piVals, ppiVals, varPI, varFF := cfg.shiftInputs()
 	capVals := make([]bool, c.NumFFs())
 
@@ -122,22 +133,28 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 			piVals[i] = patPI[i]
 		}
 		for _, f := range varFF {
-			ppiVals[f] = content[cs.chain[f]][cs.pos[f]]
+			ppiVals[f] = content[cs.at[f]]
 		}
 		hooks.ShiftCycle(piVals, ppiVals)
 	}
-	shiftOne := func(inBits []bool) {
-		for k := range content {
-			ck := content[k]
-			for p := len(ck) - 1; p > 0; p-- {
-				ck[p] = ck[p-1]
+	// shift clocks every chain once at cycle t of a load. The bit for
+	// chain position j enters at t = L-1-j, so a chain shorter than L
+	// takes zeros until its last position's bit is due; t = -1 takes zeros
+	// everywhere (the flush).
+	shift := func(state []bool, t int) {
+		for k, g := range cs.Groups {
+			s := content[cs.seg[k]:cs.seg[k+1]]
+			if len(s) == 0 {
+				continue
 			}
-			if len(ck) > 0 {
-				ck[0] = inBits[k]
+			copy(s[1:], s)
+			s[0] = false
+			if j := L - 1 - t; j < len(g) {
+				s[0] = state[g[j]]
 			}
 		}
 	}
-	inBits := make([]bool, cs.NumChains())
+
 	for _, pat := range patterns {
 		if hooks.Stop != nil {
 			if err := hooks.Stop(); err != nil {
@@ -145,21 +162,12 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 			}
 		}
 		for t := 0; t < L; t++ {
-			for k, g := range cs.Groups {
-				lk := len(g)
-				lead := L - lk // padding cycles before chain k's data starts
-				if t < lead {
-					inBits[k] = false
-				} else {
-					inBits[k] = pat.State[g[lk-1-(t-lead)]]
-				}
-			}
-			shiftOne(inBits)
+			shift(pat.State, t)
 			emit(pat.PI)
 		}
 		if hooks.Capture != nil {
 			for f := range capVals {
-				capVals[f] = content[cs.chain[f]][cs.pos[f]]
+				capVals[f] = content[cs.at[f]]
 			}
 			resp := hooks.Capture(pat.PI, capVals)
 			if len(resp) != c.NumFFs() {
@@ -167,17 +175,16 @@ func (cs *Chains) Run(patterns []Pattern, cfg ShiftConfig, hooks Hooks) error {
 					len(resp), c.NumFFs())
 			}
 			for f, v := range resp {
-				content[cs.chain[f]][cs.pos[f]] = v
+				content[cs.at[f]] = v
 			}
 		}
 	}
+	// Flush the last response; the tester keeps the last pattern's PI
+	// values applied while zeros fill the chains.
 	if len(patterns) > 0 {
 		lastPI := patterns[len(patterns)-1].PI
-		for k := range inBits {
-			inBits[k] = false
-		}
 		for t := 0; t < L; t++ {
-			shiftOne(inBits)
+			shift(nil, -1)
 			emit(lastPI)
 		}
 	}

@@ -120,46 +120,6 @@ func TestChainsCutShiftCycles(t *testing.T) {
 	}
 }
 
-// TestChainsSingleMatchesChain: a 1-chain Chains must behave exactly like
-// the plain Chain on the same workload.
-func TestChainsSingleMatchesChain(t *testing.T) {
-	c := build5FF(t)
-	cs, err := NewChains(c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := New(c)
-	pats := []Pattern{
-		{PI: []bool{true}, State: []bool{true, true, false, false, true}},
-		{PI: []bool{false}, State: []bool{false, true, true, false, false}},
-	}
-	collect := func(r Runner) [][]bool {
-		var states [][]bool
-		hooks := Hooks{
-			ShiftCycle: func(pi, ppi []bool) {
-				row := append(append([]bool(nil), pi...), ppi...)
-				states = append(states, row)
-			},
-			Capture: func(pi, ppi []bool) []bool { return []bool{true, false, true, false, true} },
-		}
-		if err := r.Run(pats, Traditional(c), hooks); err != nil {
-			t.Fatal(err)
-		}
-		return states
-	}
-	a, b := collect(ch), collect(cs)
-	if len(a) != len(b) {
-		t.Fatalf("cycle counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("cycle %d bit %d differs", i, j)
-			}
-		}
-	}
-}
-
 func TestChainsMuxedFlopsFrozen(t *testing.T) {
 	c := build5FF(t)
 	cs, err := NewChains(c, 2)
@@ -180,17 +140,14 @@ func TestChainsMuxedFlopsFrozen(t *testing.T) {
 	}
 }
 
-// TestRunInvariants pins two properties of both runners that the packed
-// measurement kernel relies on: every capture applies exactly
-// (pattern.PI, pattern.State), and the held and frozen entries of the
-// ShiftCycle slices keep their constants across captures, whatever the
-// capture loads into the chain.
+// TestRunInvariants pins two properties of Run that the packed
+// measurement kernel relies on, for one chain and for two chains of
+// unequal length: every capture applies exactly (pattern.PI,
+// pattern.State), and the held and frozen entries of the ShiftCycle
+// slices keep their constants across captures, whatever the capture
+// loads into the chains.
 func TestRunInvariants(t *testing.T) {
 	c := build3FF(t)
-	chains, err := NewChains(c, 2) // unequal: 2 and 1 flops
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Traditional(c)
 	cfg.PIHold[0] = logic.One
 	cfg.Muxed[1], cfg.MuxVal[1] = true, true
@@ -200,34 +157,35 @@ func TestRunInvariants(t *testing.T) {
 		{PI: []bool{true, false}, State: []bool{false, true, false}},
 		{PI: []bool{false, false}, State: []bool{true, true, true}},
 	}
-	for _, r := range []struct {
-		name string
-		run  Runner
-	}{{"chain", New(c)}, {"chains", chains}} {
+	for n := 1; n <= 2; n++ { // 2 chains: 2 and 1 flops
+		cs, err := NewChains(c, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := 0
 		hooks := Hooks{
 			ShiftCycle: func(pi, ppi []bool) {
 				if !pi[0] || !ppi[1] || ppi[2] {
-					t.Errorf("%s: shift cycle after %d captures saw pi=%v ppi=%v, want held pi[0]=1, frozen ppi[1]=1 ppi[2]=0",
-						r.name, k, pi, ppi)
+					t.Errorf("%d chains: shift cycle after %d captures saw pi=%v ppi=%v, want held pi[0]=1, frozen ppi[1]=1 ppi[2]=0",
+						n, k, pi, ppi)
 				}
 			},
 			Capture: func(pi, ppi []bool) []bool {
 				p := pats[k]
 				if !slices.Equal(pi, p.PI) || !slices.Equal(ppi, p.State) {
-					t.Errorf("%s: capture %d applied pi=%v ppi=%v, want %v %v",
-						r.name, k, pi, ppi, p.PI, p.State)
+					t.Errorf("%d chains: capture %d applied pi=%v ppi=%v, want %v %v",
+						n, k, pi, ppi, p.PI, p.State)
 				}
 				k++
 				// The opposite of every constant.
 				return []bool{true, false, true}
 			},
 		}
-		if err := r.run.Run(pats, cfg, hooks); err != nil {
+		if err := cs.Run(pats, cfg, hooks); err != nil {
 			t.Fatal(err)
 		}
 		if k != len(pats) {
-			t.Errorf("%s: %d captures for %d patterns", r.name, k, len(pats))
+			t.Errorf("%d chains: %d captures for %d patterns", n, k, len(pats))
 		}
 	}
 }

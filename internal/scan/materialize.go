@@ -27,15 +27,22 @@ type Materialized struct {
 	OrigPI []int
 }
 
-// Materialize stitches the scan chain into the netlist: the behavioral
-// protocol of Chain.Run becomes real gates and wires, so a cycle-accurate
-// simulation of the result must reproduce Run's behaviour exactly — that
-// equivalence is what the cross-validation tests check.
+// Materialize stitches a single scan chain into the netlist: the
+// behavioral protocol of Chains.Run becomes real gates and wires, so a
+// cycle-accurate simulation of the result must reproduce Run's behaviour
+// exactly — that equivalence is what the cross-validation tests check.
+// The netlist has one scan-in and one scan-out port, so ch must be one
+// chain through at least one flop.
 //
 // cfg supplies the scan-mode output MUXes (the paper's structure); pass
 // Traditional(c) for a plain scan stitch.
-func Materialize(ch *Chain, cfg ShiftConfig) (*Materialized, error) {
+func Materialize(ch *Chains, cfg ShiftConfig) (*Materialized, error) {
 	c := ch.c
+	if ch.NumChains() != 1 || ch.MaxLength() == 0 {
+		return nil, fmt.Errorf("scan: Materialize stitches one non-empty chain, got %d chains of up to %d flops",
+			ch.NumChains(), ch.MaxLength())
+	}
+	order := ch.Groups[0]
 	if err := cfg.Validate(c); err != nil {
 		return nil, err
 	}
@@ -82,14 +89,14 @@ func Materialize(ch *Chain, cfg ShiftConfig) (*Materialized, error) {
 	for f, ff := range c.FFs {
 		q := c.Nets[ff.Q].Name
 		d := c.Nets[ff.D].Name
-		pos := ch.pos[f]
+		pos := ch.at[f]
 		var si string
 		if pos == 0 {
 			si = siName
 		} else {
 			// Scan input comes from the *raw* flop output of the previous
 			// chain position (before any scan-mode output MUX).
-			si = rawQName(c, ch.Order[pos-1], cfg)
+			si = rawQName(c, order[pos-1], cfg)
 		}
 		dmux := unique(c, fmt.Sprintf("%s_scanD", q))
 		nb.AddGate(logic.Mux2, dmux, d, si, seName)
@@ -116,7 +123,7 @@ func Materialize(ch *Chain, cfg ShiftConfig) (*Materialized, error) {
 		nb.MarkPO(c.Nets[po].Name)
 	}
 	// Scan-out: raw output of the last chain cell.
-	last := ch.Order[ch.Length()-1]
+	last := order[len(order)-1]
 	nb.MarkPO(rawQName(c, last, cfg))
 	m.SO = len(c.POs)
 	if err := nb.Freeze(); err != nil {

@@ -11,7 +11,7 @@ import (
 
 // TestMaterializedMatchesBehavioral is the end-to-end structural check:
 // driving the stitched gate-level scan netlist cycle by cycle must expose
-// exactly the combinational input values the behavioral Chain.Run
+// exactly the combinational input values the behavioral Chains.Run
 // reports, and the scan-out pin must stream exactly the captured
 // responses.
 func TestMaterializedMatchesBehavioral(t *testing.T) {
@@ -46,7 +46,7 @@ func TestMaterializedMatchesBehavioral(t *testing.T) {
 
 // crossValidate replays the Run protocol on the materialized netlist and
 // compares every observable against the behavioral hooks.
-func crossValidate(t *testing.T, ch *Chain, cfg ShiftConfig, pats []Pattern) {
+func crossValidate(t *testing.T, ch *Chains, cfg ShiftConfig, pats []Pattern) {
 	t.Helper()
 	c := ch.c
 	mat, err := Materialize(ch, cfg)
@@ -97,7 +97,8 @@ func crossValidate(t *testing.T, ch *Chain, cfg ShiftConfig, pats []Pattern) {
 	}
 	soNet := mat.Circuit.POs[mat.SO]
 
-	L := ch.Length()
+	order := ch.Groups[0]
+	L := len(order)
 	cycle := 0
 	holdPI := func(pat Pattern) []bool {
 		out := make([]bool, len(c.PIs))
@@ -117,12 +118,12 @@ func crossValidate(t *testing.T, ch *Chain, cfg ShiftConfig, pats []Pattern) {
 	for pi, pat := range pats {
 		hold := holdPI(pat)
 		for tshift := 0; tshift < L; tshift++ {
-			inBit := pat.State[ch.Order[L-1-tshift]]
+			inBit := pat.State[order[L-1-tshift]]
 			// Scan-out check: the bit leaving now is the previous
 			// response at descending chain positions.
 			if lastResp != nil {
 				pre := stepper.Peek(mat.Drive(hold, inBit, true))
-				want := lastResp[ch.Order[L-1-tshift]]
+				want := lastResp[order[L-1-tshift]]
 				if pre[soNet] != want {
 					t.Fatalf("pattern %d shift %d: SO = %v, want %v",
 						pi, tshift, pre[soNet], want)
@@ -212,6 +213,25 @@ func TestMaterializeValidates(t *testing.T) {
 	bad.Muxed = bad.Muxed[:1]
 	if _, err := Materialize(ch, bad); err == nil {
 		t.Error("accepted invalid config")
+	}
+}
+
+// TestMaterializeRejectsMultiChain: the stitched netlist has one scan-in
+// and one scan-out port, so a partition into two chains is an error, and
+// so is a chain with no flop to drive the scan-out.
+func TestMaterializeRejectsMultiChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := randomSeqCircuit(t, rng, 2, 3, 5)
+	cs, err := NewChains(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Materialize(cs, Traditional(c)); err == nil {
+		t.Error("accepted a 2-chain configuration")
+	}
+	comb := randomSeqCircuit(t, rng, 2, 0, 5)
+	if _, err := Materialize(New(comb), Traditional(comb)); err == nil {
+		t.Error("accepted an empty chain")
 	}
 }
 

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -27,13 +28,11 @@ func build3FF(t *testing.T) *netlist.Circuit {
 func TestChainBasics(t *testing.T) {
 	c := build3FF(t)
 	ch := New(c)
-	if ch.Length() != 3 {
-		t.Fatalf("Length = %d, want 3", ch.Length())
+	if ch.NumChains() != 1 || ch.MaxLength() != 3 {
+		t.Fatalf("NumChains, MaxLength = %d, %d, want 1, 3", ch.NumChains(), ch.MaxLength())
 	}
-	for f := 0; f < 3; f++ {
-		if ch.PositionOf(f) != f {
-			t.Errorf("default order: PositionOf(%d) = %d", f, ch.PositionOf(f))
-		}
+	if !slices.Equal(ch.Groups[0], []int{0, 1, 2}) {
+		t.Errorf("default order = %v, want netlist order", ch.Groups[0])
 	}
 }
 
@@ -48,12 +47,14 @@ func TestNewWithOrderValidation(t *testing.T) {
 	if _, err := NewWithOrder(c, []int{0, 1, 5}); err == nil {
 		t.Error("accepted out-of-range entry")
 	}
-	ch, err := NewWithOrder(c, []int{2, 0, 1})
+	order := []int{2, 0, 1}
+	ch, err := NewWithOrder(c, order)
 	if err != nil {
 		t.Fatalf("valid order rejected: %v", err)
 	}
-	if ch.PositionOf(2) != 0 || ch.PositionOf(0) != 1 || ch.PositionOf(1) != 2 {
-		t.Error("PositionOf inconsistent with order")
+	order[0] = 1
+	if !slices.Equal(ch.Groups[0], []int{2, 0, 1}) {
+		t.Errorf("chain order = %v, want a copy of [2 0 1]", ch.Groups[0])
 	}
 }
 

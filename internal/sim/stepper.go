@@ -27,11 +27,6 @@ func (st *Stepper) Reset() {
 // modify it.
 func (st *Stepper) State() []bool { return st.state }
 
-// SetState overwrites the flop state.
-func (st *Stepper) SetState(s []bool) {
-	copy(st.state, s)
-}
-
 // Step applies pi for one clock: it evaluates the combinational logic
 // with the current state, loads every flop from its D input, and returns
 // the per-net values observed during the cycle (owned by the stepper,

@@ -43,9 +43,6 @@ func (w *Wide) Program() *Program { return w.p }
 // Lanes returns the lane width (WideLanes).
 func (w *Wide) Lanes() int { return WideLanes }
 
-// Words returns the uint64 words carried per net (WideWords).
-func (w *Wide) Words() int { return WideWords }
-
 // Eval evaluates the combinational core across all 256 lanes. pi holds
 // the primary-input lane groups (WideWords words per PI, flat, in
 // netlist.Circuit.PIs order), ppi the flip-flop output groups in FF

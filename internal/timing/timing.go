@@ -80,11 +80,6 @@ func (m DelayModel) GateDelay(t logic.GateType, fanin, fanout int) float64 {
 	return d
 }
 
-// MuxDelay returns the penalty of a scan-mode MUX2 driving a single load.
-func (m DelayModel) MuxDelay() float64 {
-	return m.GateDelay(logic.Mux2, 3, 1)
-}
-
 // Analysis holds the results of one STA pass over a frozen circuit.
 type Analysis struct {
 	c     *netlist.Circuit

@@ -108,7 +108,7 @@ func (d *Dumper) Close() error {
 // DumpScan simulates the scan test application (shift and capture cycles)
 // and dumps every observed combinational state. nets selects the dumped
 // signals (nil = all).
-func DumpScan(w io.Writer, ch scan.Runner, patterns []scan.Pattern,
+func DumpScan(w io.Writer, ch *scan.Chains, patterns []scan.Pattern,
 	cfg scan.ShiftConfig, nets []netlist.NetID) error {
 
 	c := ch.Circuit()

@@ -240,8 +240,8 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 	// Traditional scan.
 	if err := runStage(ctx, StageTraditional, len(res.Patterns), func(ctx context.Context) error {
 		var err error
-		cmp.Traditional, err = power.MeasureScanPackedOpts(scan.New(c), res.Patterns, scan.Traditional(c),
-			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		cmp.Traditional, err = power.MeasureScanPacked(ctx, scan.New(c), res.Patterns, scan.Traditional(c),
+			cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
@@ -256,8 +256,8 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 			return fmt.Errorf("scanpower: input-control build: %w", err)
 		}
 		cmp.InputControlStats = icSol.Stats
-		cmp.InputControl, err = power.MeasureScanPackedOpts(scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
-			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		cmp.InputControl, err = power.MeasureScanPacked(ctx, scan.New(icSol.Circuit), res.Patterns, icSol.Cfg,
+			cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
@@ -272,8 +272,8 @@ func (e *Engine) compareWith(ctx context.Context, c *netlist.Circuit, cfg Config
 			return fmt.Errorf("scanpower: proposed build: %w", err)
 		}
 		cmp.ProposedStats = sol.Stats
-		cmp.Proposed, err = power.MeasureScanPackedOpts(scan.New(sol.Circuit), res.Patterns, sol.Cfg,
-			cfg.Leak, cfg.Cap, power.MeasureOptions{Ctx: ctx})
+		cmp.Proposed, err = power.MeasureScanPacked(ctx, scan.New(sol.Circuit), res.Patterns, sol.Cfg,
+			cfg.Leak, cfg.Cap)
 		return err
 	}); err != nil {
 		return nil, err
